@@ -217,9 +217,8 @@ func (w *statusWriter) Flush() {
 
 // routeLabel collapses a request path onto its route pattern (bounded
 // label cardinality) and extracts the campaign run id when the path
-// carries one. Versioned and legacy spellings keep their own labels —
-// the /v1 prefix stays in the pattern — so dashboards can watch
-// deprecated-path traffic drain.
+// carries one. The /v1 prefix stays in the pattern, so requests to the
+// removed unversioned spellings (404s) keep labels of their own.
 func routeLabel(path string) (pattern, runID string) {
 	parts := strings.Split(strings.Trim(path, "/"), "/")
 	prefix := ""

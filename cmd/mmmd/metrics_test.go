@@ -83,20 +83,20 @@ func TestAccessLogCountsRequests(t *testing.T) {
 	if st := submitAndWait(t, ts, micro); st.Status != "done" {
 		t.Fatalf("campaign: %+v", st)
 	}
-	do(t, http.MethodGet, ts.URL+"/campaigns/c1/results", "")
-	do(t, http.MethodGet, ts.URL+"/campaigns/c1/events?after=999999", "")
+	do(t, http.MethodGet, ts.URL+"/v1/campaigns/c1/results", "")
+	do(t, http.MethodGet, ts.URL+"/v1/campaigns/c1/events?after=999999", "")
 	_, data := do(t, http.MethodGet, ts.URL+"/metrics", "")
 	for _, want := range []string{
-		`path="/campaigns/{id}"`,
-		`path="/campaigns/{id}/results"`,
-		`path="/campaigns/{id}/events"`,
+		`path="/v1/campaigns/{id}"`,
+		`path="/v1/campaigns/{id}/results"`,
+		`path="/v1/campaigns/{id}/events"`,
 		`method="POST"`,
 	} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("request counter missing %s:\n%s", want, data)
 		}
 	}
-	if bytes.Contains(data, []byte(`path="/campaigns/c1"`)) {
+	if bytes.Contains(data, []byte(`path="/v1/campaigns/c1"`)) {
 		t.Error("raw run id leaked into the path label (unbounded cardinality)")
 	}
 }
@@ -146,7 +146,7 @@ func TestServiceStatusIncludesRuns(t *testing.T) {
 	ts := testService(t)
 	first := submitAndWait(t, ts, micro)
 	second := submitAndWait(t, ts, micro)
-	_, data := do(t, http.MethodGet, ts.URL+"/status", "")
+	_, data := do(t, http.MethodGet, ts.URL+"/v1/status", "")
 	var st struct {
 		Runs []runStatus `json:"runs"`
 	}

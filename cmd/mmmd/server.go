@@ -143,13 +143,9 @@ func newServer(ctx context.Context, cache campaign.Cache, parallel, maxCampaigns
 }
 
 // handler routes the service's endpoints. The API surface is
-// versioned: every campaign route is canonical under /v1/, and the
-// pre-versioning unversioned paths remain as thin aliases that serve
-// the same handler while marking the response deprecated (a
-// "Deprecation: true" header plus a Link to the successor route), so
-// existing clients keep working and see where to migrate.
+// versioned: every campaign route is served under /v1/ only.
 // /healthz and /metrics are infrastructure endpoints (probes,
-// scrapers), not API — they stay unversioned and undeprecated.
+// scrapers), not API — they stay unversioned.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -170,23 +166,11 @@ func (s *server) handler() http.Handler {
 		{"POST", "/campaigns/{id}/cancel", s.handleCancel},
 	} {
 		mux.HandleFunc(rt.method+" "+api.PathPrefix+rt.path, rt.h)
-		mux.HandleFunc(rt.method+" "+rt.path, deprecatedAlias(rt.h))
 	}
 	if s.debug {
 		mountPprof(mux)
 	}
 	return accessLog(mux, s.reg)
-}
-
-// deprecatedAlias serves a legacy unversioned route through its
-// canonical handler, stamping the deprecation headers first.
-func deprecatedAlias(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set(api.DeprecationHeader, "true")
-		w.Header().Set("Link",
-			fmt.Sprintf("<%s%s>; rel=%q", api.PathPrefix, req.URL.Path, api.SuccessorRel))
-		h(w, req)
-	}
 }
 
 // handleCatalog reports the registered campaign names, the mode-policy
@@ -243,31 +227,17 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if body.Precision != nil {
 		spec.Precision = body.Precision
 	}
-	jobs, err := spec.Expand()
+	// Validate the spec — the adaptive block included — at submission,
+	// not at the first wave, with the check every executor applies: an
+	// out-of-bounds target answers 400 naming the valid range, and a
+	// campaign without fault injection can never satisfy a stopping
+	// rule over fault outcomes.
+	cells, prec, err := spec.Cells()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Validate the adaptive block at submission, not at the first wave:
-	// an out-of-bounds target answers 400 naming the valid range, and a
-	// campaign without fault injection can never satisfy a stopping
-	// rule over fault outcomes.
-	if spec.Precision != nil {
-		p := spec.Precision.Normalized()
-		if err := p.Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		for _, j := range jobs {
-			if j.Knobs.FaultInterval <= 0 {
-				httpError(w, http.StatusBadRequest,
-					"adaptive precision requires fault-injection cells, but %q cell %s injects no faults",
-					body.Name, j.Key())
-				return
-			}
-		}
-		spec.Precision = &p
-	}
+	spec.Precision = prec
 
 	// Placement: an explicit worker list wins, then the service's
 	// default fleet; "local":true forces the in-process pool.
@@ -294,7 +264,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		workers: len(fleet),
 		prec:    spec.Precision,
 		status:  "queued",
-		total:   len(jobs), // adaptive runs: expansion order cells, not waves
+		total:   len(cells), // adaptive runs: cells, not waves
 		cancel:  cancel,
 	}
 	s.runs[r.id] = r
@@ -324,10 +294,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 // execute runs one campaign to completion, respecting the
 // per-service concurrency bound. A non-empty fleet shards the jobs
 // across remote workers via the lease protocol; otherwise the local
-// bounded pool runs them. Both paths share the service cache, so a
-// campaign started locally finishes remotely (and vice versa) without
-// re-simulating. Specs with a precision block run adaptively on
-// either path — campaign.RunSpec routes them.
+// bounded pool runs them. Both pull from the same kind of campaign
+// board and share the service cache, so a campaign started locally
+// finishes remotely (and vice versa) without re-simulating. Specs with
+// a precision block run adaptively on either path.
 func (s *server) execute(ctx context.Context, r *run, spec campaign.Spec, fleet []string) {
 	defer s.wg.Done()
 	defer r.cancel()

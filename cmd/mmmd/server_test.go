@@ -56,7 +56,7 @@ func do(t *testing.T, method, url, body string) (int, []byte) {
 // terminal state, returning the final status.
 func submitAndWait(t *testing.T, ts *httptest.Server, body string) runStatus {
 	t.Helper()
-	code, data := do(t, http.MethodPost, ts.URL+"/campaigns", body)
+	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
 	}
@@ -66,7 +66,7 @@ func submitAndWait(t *testing.T, ts *httptest.Server, body string) runStatus {
 	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		code, data = do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID, "")
+		code, data = do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID, "")
 		if code != http.StatusOK {
 			t.Fatalf("status: %d %s", code, data)
 		}
@@ -89,7 +89,7 @@ func TestHealthAndCatalog(t *testing.T) {
 	if code, _ := do(t, http.MethodGet, ts.URL+"/healthz", ""); code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
 	}
-	code, data := do(t, http.MethodGet, ts.URL+"/catalog", "")
+	code, data := do(t, http.MethodGet, ts.URL+"/v1/catalog", "")
 	if code != http.StatusOK || !bytes.Contains(data, []byte("figure5")) {
 		t.Fatalf("catalog: %d %s", code, data)
 	}
@@ -103,11 +103,11 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		`{"name":"figure5","scale":"galactic"}`,
 		`{"name":"figure5","workloads":["nope"]}`,
 	} {
-		if code, _ := do(t, http.MethodPost, ts.URL+"/campaigns", body); code != http.StatusBadRequest {
+		if code, _ := do(t, http.MethodPost, ts.URL+"/v1/campaigns", body); code != http.StatusBadRequest {
 			t.Errorf("submit %q: code %d, want 400", body, code)
 		}
 	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/campaigns/c99", ""); code != http.StatusNotFound {
+	if code, _ := do(t, http.MethodGet, ts.URL+"/v1/campaigns/c99", ""); code != http.StatusNotFound {
 		t.Errorf("unknown id: %d, want 404", code)
 	}
 }
@@ -123,11 +123,11 @@ func TestSubmitRunFetchAndCachedResubmit(t *testing.T) {
 		t.Fatalf("first run should be all misses: %+v", st)
 	}
 
-	code, res1 := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", "")
+	code, res1 := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results", "")
 	if code != http.StatusOK || !bytes.Contains(res1, []byte(`"key"`)) {
 		t.Fatalf("results: %d %s", code, res1)
 	}
-	code, csv := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results?format=csv", "")
+	code, csv := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results?format=csv", "")
 	if code != http.StatusOK || !bytes.HasPrefix(csv, []byte("key,metric,")) {
 		t.Fatalf("csv results: %d %s", code, csv)
 	}
@@ -138,13 +138,13 @@ func TestSubmitRunFetchAndCachedResubmit(t *testing.T) {
 	if st2.Status != "done" || st2.CacheHit != st2.Jobs {
 		t.Fatalf("resubmit not fully cached: %+v", st2)
 	}
-	_, res2 := do(t, http.MethodGet, ts.URL+"/campaigns/"+st2.ID+"/results", "")
+	_, res2 := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st2.ID+"/results", "")
 	if !bytes.Equal(res1, res2) {
 		t.Fatalf("cached rerun rows differ:\n%s\nvs\n%s", res1, res2)
 	}
 
 	// The listing shows both campaigns in submission order.
-	code, data := do(t, http.MethodGet, ts.URL+"/campaigns", "")
+	code, data := do(t, http.MethodGet, ts.URL+"/v1/campaigns", "")
 	if code != http.StatusOK {
 		t.Fatalf("list: %d", code)
 	}
@@ -162,7 +162,7 @@ func TestSubmitRunFetchAndCachedResubmit(t *testing.T) {
 func TestResultsBeforeDoneConflicts(t *testing.T) {
 	ts := testService(t)
 	// Submit a long campaign and immediately ask for results.
-	code, data := do(t, http.MethodPost, ts.URL+"/campaigns",
+	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns",
 		`{"name":"figure6","scale":"quick","workloads":["apache"],"seeds":[11]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
@@ -171,16 +171,16 @@ func TestResultsBeforeDoneConflicts(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ = do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", ""); code != http.StatusConflict {
+	if code, _ = do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results", ""); code != http.StatusConflict {
 		t.Fatalf("results while running: %d, want 409", code)
 	}
 	// Cancel it and confirm the terminal state is visible.
-	if code, _ = do(t, http.MethodPost, ts.URL+"/campaigns/"+st.ID+"/cancel", ""); code != http.StatusOK {
+	if code, _ = do(t, http.MethodPost, ts.URL+"/v1/campaigns/"+st.ID+"/cancel", ""); code != http.StatusOK {
 		t.Fatalf("cancel: %d", code)
 	}
 	deadline := time.Now().Add(time.Minute)
 	for {
-		_, data = do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID, "")
+		_, data = do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID, "")
 		if err := json.Unmarshal(data, &st); err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestServiceStatusReportsCacheCounters(t *testing.T) {
 	if st := submitAndWait(t, ts, micro); st.Status != "done" {
 		t.Fatalf("second run: %+v", st)
 	}
-	code, data := do(t, http.MethodGet, ts.URL+"/status", "")
+	code, data := do(t, http.MethodGet, ts.URL+"/v1/status", "")
 	if code != http.StatusOK {
 		t.Fatalf("status: %d %s", code, data)
 	}
@@ -265,7 +265,7 @@ func TestFleetSubmitMatchesLocal(t *testing.T) {
 	if st.CacheHit != 0 || st.Done != st.Jobs {
 		t.Fatalf("fleet cold run should be all misses: %+v", st)
 	}
-	code, res1 := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", "")
+	code, res1 := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results", "")
 	if code != http.StatusOK {
 		t.Fatalf("results: %d", code)
 	}
@@ -279,7 +279,7 @@ func TestFleetSubmitMatchesLocal(t *testing.T) {
 	if st2.CacheHit != st2.Jobs {
 		t.Fatalf("local resubmit should be fully cached: %+v", st2)
 	}
-	_, res2 := do(t, http.MethodGet, ts.URL+"/campaigns/"+st2.ID+"/results", "")
+	_, res2 := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st2.ID+"/results", "")
 	if !bytes.Equal(res1, res2) {
 		t.Fatalf("fleet and local rows differ:\n%s\nvs\n%s", res1, res2)
 	}
@@ -312,7 +312,7 @@ func TestFinishClassifiesWrappedCancellation(t *testing.T) {
 func TestCancelMidCampaign(t *testing.T) {
 	ts := testService(t)
 	// Default scale: slow enough that the cancel lands mid-run.
-	code, data := do(t, http.MethodPost, ts.URL+"/campaigns",
+	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns",
 		`{"name":"figure5","workloads":["apache"],"seeds":[11,23,31]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
@@ -321,12 +321,12 @@ func TestCancelMidCampaign(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	if code, _ = do(t, http.MethodPost, ts.URL+"/campaigns/"+st.ID+"/cancel", ""); code != http.StatusOK {
+	if code, _ = do(t, http.MethodPost, ts.URL+"/v1/campaigns/"+st.ID+"/cancel", ""); code != http.StatusOK {
 		t.Fatalf("cancel: %d", code)
 	}
 	deadline := time.Now().Add(time.Minute)
 	for {
-		_, data = do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID, "")
+		_, data = do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID, "")
 		if err := json.Unmarshal(data, &st); err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestCancelMidCampaign(t *testing.T) {
 	if st.Status != "canceled" {
 		t.Fatalf("status %q, want canceled (error %q)", st.Status, st.Error)
 	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", ""); code != http.StatusConflict {
+	if code, _ := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results", ""); code != http.StatusConflict {
 		t.Fatalf("results of canceled run: %d, want 409", code)
 	}
 }
@@ -399,7 +399,7 @@ func TestRetentionCapEvictsOldestCompleted(t *testing.T) {
 		}
 	}
 
-	code, data := do(t, http.MethodGet, ts.URL+"/campaigns", "")
+	code, data := do(t, http.MethodGet, ts.URL+"/v1/campaigns", "")
 	if code != http.StatusOK {
 		t.Fatalf("list: %d", code)
 	}
@@ -413,7 +413,7 @@ func TestRetentionCapEvictsOldestCompleted(t *testing.T) {
 		t.Fatalf("retention kept wrong runs: %s", data)
 	}
 
-	_, data = do(t, http.MethodGet, ts.URL+"/status", "")
+	_, data = do(t, http.MethodGet, ts.URL+"/v1/status", "")
 	var st struct {
 		Campaigns struct {
 			Total   int    `json:"total"`
@@ -430,7 +430,7 @@ func TestRetentionCapEvictsOldestCompleted(t *testing.T) {
 
 func TestCatalogListsAxes(t *testing.T) {
 	ts := testService(t)
-	code, data := do(t, http.MethodGet, ts.URL+"/catalog", "")
+	code, data := do(t, http.MethodGet, ts.URL+"/v1/catalog", "")
 	if code != http.StatusOK {
 		t.Fatalf("catalog: %d", code)
 	}
@@ -467,7 +467,7 @@ func TestReliaCampaignViaService(t *testing.T) {
 	if st.Status != "done" {
 		t.Fatalf("relia campaign: %+v", st)
 	}
-	code, res := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", "")
+	code, res := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results", "")
 	if code != http.StatusOK {
 		t.Fatalf("results: %d", code)
 	}
@@ -481,7 +481,7 @@ func TestReliaCampaignViaService(t *testing.T) {
 	if st2.Status != "done" || st2.CacheHit != st2.Jobs {
 		t.Fatalf("resubmit not fully cached: %+v", st2)
 	}
-	_, res2 := do(t, http.MethodGet, ts.URL+"/campaigns/"+st2.ID+"/results", "")
+	_, res2 := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st2.ID+"/results", "")
 	if !bytes.Equal(res, res2) {
 		t.Fatal("relia results not byte-identical across cache-warm reruns")
 	}
@@ -491,7 +491,7 @@ func TestReliaCampaignViaService(t *testing.T) {
 // policies and the policy campaign's swept axis.
 func TestCatalogExposesPolicyAxis(t *testing.T) {
 	ts := testService(t)
-	code, data := do(t, http.MethodGet, ts.URL+"/catalog", "")
+	code, data := do(t, http.MethodGet, ts.URL+"/v1/catalog", "")
 	if code != http.StatusOK {
 		t.Fatalf("catalog: %d", code)
 	}
@@ -527,7 +527,7 @@ func TestCatalogExposesPolicyAxis(t *testing.T) {
 // policy answers 400 and the error lists the valid names.
 func TestSubmitRejectsUnknownPolicy(t *testing.T) {
 	ts := testService(t)
-	code, data := do(t, http.MethodPost, ts.URL+"/campaigns",
+	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns",
 		`{"name":"table2","policies":["warp-drive"]}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown policy: code %d, want 400 (%s)", code, data)
@@ -554,7 +554,7 @@ func TestSubmitWithPolicyAxis(t *testing.T) {
 	if st.Jobs != 2 {
 		t.Fatalf("expected 2 jobs (static + duty-cycle), got %d", st.Jobs)
 	}
-	code, res := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", "")
+	code, res := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/results", "")
 	if code != http.StatusOK {
 		t.Fatalf("results: %d", code)
 	}

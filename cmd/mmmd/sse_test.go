@@ -86,7 +86,7 @@ func TestEventsStreamsFullJournal(t *testing.T) {
 		t.Fatalf("campaign: %+v", st)
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/events", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/events", nil)
 	frames := readSSE(t, req)
 	if len(frames) < 3 {
 		t.Fatalf("only %d frames", len(frames))
@@ -130,7 +130,7 @@ func TestEventsStreamsFullJournal(t *testing.T) {
 // the same complete, ordered journal a post-hoc reader gets.
 func TestEventsStreamsLive(t *testing.T) {
 	ts := testService(t)
-	code, data := do(t, http.MethodPost, ts.URL+"/campaigns", micro)
+	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", micro)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
 	}
@@ -141,7 +141,7 @@ func TestEventsStreamsLive(t *testing.T) {
 
 	// Connect immediately: the run is typically still executing, so the
 	// stream crosses the history/live boundary.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/events", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/events", nil)
 	frames := readSSE(t, req)
 	types := map[string]int{}
 	for _, f := range frames {
@@ -165,7 +165,7 @@ func TestEventsResume(t *testing.T) {
 	if st.Status != "done" {
 		t.Fatalf("campaign: %+v", st)
 	}
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/events", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/events", nil)
 	full := readSSE(t, req)
 	cut := full[len(full)/2]
 	if cut.id == 0 {
@@ -174,7 +174,7 @@ func TestEventsResume(t *testing.T) {
 
 	// Query resume.
 	req, _ = http.NewRequest(http.MethodGet,
-		ts.URL+"/campaigns/"+st.ID+"/events?after="+strconv.FormatInt(cut.id, 10), nil)
+		ts.URL+"/v1/campaigns/"+st.ID+"/events?after="+strconv.FormatInt(cut.id, 10), nil)
 	tail := readSSE(t, req)
 	if want := full[len(full)/2+1:]; len(tail) != len(want) {
 		t.Fatalf("resumed stream has %d frames, want %d", len(tail), len(want))
@@ -183,7 +183,7 @@ func TestEventsResume(t *testing.T) {
 	}
 
 	// Header resume behaves identically.
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/events", nil)
+	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/events", nil)
 	req.Header.Set("Last-Event-ID", strconv.FormatInt(cut.id, 10))
 	viaHeader := readSSE(t, req)
 	if len(viaHeader) != len(tail) || viaHeader[0].id != tail[0].id {
@@ -193,11 +193,11 @@ func TestEventsResume(t *testing.T) {
 
 	// Malformed resume points are rejected, not treated as zero.
 	for _, bad := range []string{"?after=nope", "?after=-3"} {
-		if code, _ := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/events"+bad, ""); code != http.StatusBadRequest {
+		if code, _ := do(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/events"+bad, ""); code != http.StatusBadRequest {
 			t.Errorf("resume %s: code %d, want 400", bad, code)
 		}
 	}
-	if code, _ := do(t, http.MethodGet, ts.URL+"/campaigns/c99/events", ""); code != http.StatusNotFound {
+	if code, _ := do(t, http.MethodGet, ts.URL+"/v1/campaigns/c99/events", ""); code != http.StatusNotFound {
 		t.Errorf("events of unknown run: %d, want 404", code)
 	}
 }

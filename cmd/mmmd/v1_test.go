@@ -27,44 +27,24 @@ func doResp(t *testing.T, method, url, body string) *http.Response {
 	return resp
 }
 
-// TestV1CanonicalAndLegacyAliases: every route serves under /v1
-// without deprecation marks, the unversioned spellings still answer —
-// bytes identical — but carry the Deprecation header and a Link to
-// their successor. Infrastructure endpoints (/healthz, /metrics) are
-// unversioned and never deprecated.
+// TestV1CanonicalAndLegacyAliases: every API route serves under /v1
+// only — the pre-versioning unversioned spellings answer 404 — while
+// the infrastructure endpoints (/healthz, /metrics) stay unversioned.
 func TestV1CanonicalAndLegacyAliases(t *testing.T) {
 	ts := testService(t)
 
 	for _, path := range []string{"/catalog", "/campaigns"} {
-		v1 := doResp(t, http.MethodGet, ts.URL+api.PathPrefix+path, "")
-		if v1.StatusCode != http.StatusOK {
+		if v1 := doResp(t, http.MethodGet, ts.URL+api.PathPrefix+path, ""); v1.StatusCode != http.StatusOK {
 			t.Fatalf("GET /v1%s: %d", path, v1.StatusCode)
 		}
-		if v1.Header.Get(api.DeprecationHeader) != "" {
-			t.Fatalf("canonical /v1%s marked deprecated", path)
-		}
-
-		legacy := doResp(t, http.MethodGet, ts.URL+path, "")
-		if legacy.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, legacy.StatusCode)
-		}
-		if legacy.Header.Get(api.DeprecationHeader) != "true" {
-			t.Fatalf("legacy %s missing %s header", path, api.DeprecationHeader)
-		}
-		link := legacy.Header.Get("Link")
-		if !strings.Contains(link, api.PathPrefix+path) ||
-			!strings.Contains(link, api.SuccessorRel) {
-			t.Fatalf("legacy %s Link header %q does not name its successor", path, link)
+		if legacy := doResp(t, http.MethodGet, ts.URL+path, ""); legacy.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404 (the unversioned alias is gone)", path, legacy.StatusCode)
 		}
 	}
 
-	for _, path := range []string{"/healthz"} {
-		resp := doResp(t, http.MethodGet, ts.URL+path, "")
-		if resp.StatusCode != http.StatusOK {
+	for _, path := range []string{"/healthz", "/metrics"} {
+		if resp := doResp(t, http.MethodGet, ts.URL+path, ""); resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		if resp.Header.Get(api.DeprecationHeader) != "" {
-			t.Fatalf("infrastructure endpoint %s marked deprecated", path)
 		}
 	}
 }
@@ -103,10 +83,9 @@ func TestV1ServesFullFlow(t *testing.T) {
 		t.Fatalf("v1 results: %d %s", code, res)
 	}
 
-	// The legacy spelling returns the same bytes, just deprecated.
-	code, legacy := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", "")
-	if code != http.StatusOK || !bytes.Equal(res, legacy) {
-		t.Fatalf("legacy results diverge from v1: %d", code)
+	// The unversioned spelling is gone.
+	if code, _ := do(t, http.MethodGet, ts.URL+"/campaigns/"+st.ID+"/results", ""); code != http.StatusNotFound {
+		t.Fatalf("unversioned results: %d, want 404", code)
 	}
 
 	code, data = do(t, http.MethodGet, ts.URL+"/v1/campaigns", "")

@@ -11,9 +11,8 @@
 // The package sits below internal/campaign: campaign aliases these
 // types (type Job = api.Job, ...), so existing call sites keep
 // compiling while the wire contract has a single owner. HTTP routes
-// carrying these bodies are versioned under PathPrefix ("/v1");
-// legacy unversioned paths remain as thin aliases that answer with a
-// Deprecation header naming the successor route.
+// carrying these bodies are served only under PathPrefix ("/v1"); the
+// pre-versioning unversioned spellings are gone.
 package api
 
 const (
@@ -21,14 +20,7 @@ const (
 	// prefixes and lets clients assert compatibility explicitly.
 	Version = "v1"
 	// PathPrefix is the route prefix of the current API generation:
-	// every mmmd endpoint is canonically served under it.
+	// every mmmd API endpoint and the worker's attach endpoint are
+	// served under it.
 	PathPrefix = "/v1"
-	// DeprecationHeader is set (to "true") on responses served via a
-	// legacy unversioned route alias. Clients should migrate to the
-	// PathPrefix form; the alias additionally sends a Link header with
-	// rel="successor-version" naming the canonical route.
-	DeprecationHeader = "Deprecation"
-	// SuccessorRel is the Link relation used by deprecated aliases to
-	// point at the versioned route that replaces them.
-	SuccessorRel = "successor-version"
 )

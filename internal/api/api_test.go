@@ -1,8 +1,6 @@
 package api
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -72,28 +70,7 @@ func TestPrecisionAxis(t *testing.T) {
 	}
 }
 
-// TestFingerprintV4Compat pins the compatibility contract of the v5
-// bump: a non-wave job's fingerprint is the v4 rendering verbatim —
-// recomputed here against the frozen v4 format string — so the entire
-// pre-adaptive cache stays addressable.
-func TestFingerprintV4Compat(t *testing.T) {
-	sc := Scale{Warmup: 30_000, Measure: 60_000, Timeslice: 20_000}
-	j := Job{Workload: "apache", Kind: core.KindMMMIPC, Seed: 11, Variant: "mixed-r5000",
-		Knobs: Knobs{FaultInterval: 5000, ReliaTrials: 6, Policy: "fault-escalation"}}
-
-	h := sha256.New()
-	fmt.Fprintf(h,
-		"v4|warm=%d|meas=%d|slice=%d|wl=%s|kind=%s|seed=%d|var=%s|pabser=%t|pabdis=%t|tso=%t|flush=%d|fault=%g|fkinds=%s|rtrials=%d|fpab=%t|policy=%s",
-		sc.Warmup, sc.Measure, sc.Timeslice,
-		j.Workload, j.Kind, j.Seed, j.Variant,
-		false, false, false, 0, 5000.0, "", 6, false, "fault-escalation")
-	want := hex.EncodeToString(h.Sum(nil))
-	if got := j.Fingerprint(sc); got != want {
-		t.Fatalf("non-wave fingerprint diverged from the frozen v4 rendering:\ngot  %s\nwant %s", got, want)
-	}
-}
-
-// TestFingerprintWaveCoordinates: wave jobs render v5 with their wave
+// TestFingerprintWaveCoordinates: wave jobs render their wave
 // coordinates — distinct waves, offsets and sizes of one cell never
 // collide, while Key and SimSeed stay wave-invariant so waves aggregate
 // into their cell.

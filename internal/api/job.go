@@ -27,16 +27,14 @@ import (
 // set changed, so cached v3 entries are re-keyed, not reinterpreted.
 //
 // v5: adaptive-precision campaigns schedule reliability trials in
-// waves (Knobs.Wave/TrialOffset). Only wave jobs render v5 — a
-// non-wave job keeps rendering the v4 prefix verbatim, so the entire
-// pre-adaptive cache remains valid (fingerprint compatibility for
-// non-adaptive cells).
-const SpecVersion = 5
-
-// compatVersion is the fingerprint version rendered for non-wave
-// jobs: their input set is unchanged since v4, so re-keying them
-// would only throw away valid cache entries.
-const compatVersion = 4
+// waves (Knobs.Wave/TrialOffset). Only wave jobs rendered v5; non-wave
+// jobs kept rendering the v4 prefix.
+//
+// v6: every job renders SpecVersion — the frozen v4 rendering of
+// non-wave jobs is gone, so there is one fingerprint format. Results
+// are unchanged, but every pre-v6 cache entry is re-keyed (cold), and
+// the protocol check refuses fleets mixing v5 and v6 builds.
+const SpecVersion = 6
 
 // Scale sets the simulation windows shared by every job of a campaign.
 type Scale struct {
@@ -165,19 +163,13 @@ func (j Job) SimSeed() uint64 {
 
 // Fingerprint is the content address of the job's result: a SHA-256
 // over the canonical rendering of (version, scale, every job
-// parameter). Equal fingerprints mean byte-identical simulations.
-// Non-wave jobs render the v4 prefix unchanged so every pre-adaptive
-// cache entry stays addressable; wave jobs render v5 plus their wave
-// coordinates.
+// parameter). Equal fingerprints mean byte-identical simulations. Wave
+// jobs additionally render their wave coordinates.
 func (j Job) Fingerprint(sc Scale) string {
 	h := sha256.New()
-	v := compatVersion
-	if j.Knobs.Wave > 0 {
-		v = SpecVersion
-	}
 	fmt.Fprintf(h,
 		"v%d|warm=%d|meas=%d|slice=%d|wl=%s|kind=%s|seed=%d|var=%s|pabser=%t|pabdis=%t|tso=%t|flush=%d|fault=%g|fkinds=%s|rtrials=%d|fpab=%t|policy=%s",
-		v, sc.Warmup, sc.Measure, sc.Timeslice,
+		SpecVersion, sc.Warmup, sc.Measure, sc.Timeslice,
 		j.Workload, j.Kind, j.Seed, j.Variant,
 		j.Knobs.PABSerial, j.Knobs.PABDisabled, j.Knobs.TSO,
 		j.Knobs.FlushPerCycle, j.Knobs.FaultInterval,

@@ -53,15 +53,18 @@ func TestPlannerValidation(t *testing.T) {
 	sc := microScale()
 	spec := adaptiveSpec()
 
+	// A spec without a precision block is the degenerate fixed plan:
+	// one cell per expanded job, verbatim.
 	fixed := spec
 	fixed.Precision = nil
-	if _, err := newPlanner(sc, fixed); err == nil {
-		t.Fatal("planner accepted a spec without a precision block")
+	if p, err := newPlan(sc, fixed); err != nil || p.prec != nil || len(p.cells) != len(spec.Jobs) ||
+		p.cells[0].job != spec.Jobs[0] {
+		t.Fatalf("fixed spec did not plan one cell per job: %v", err)
 	}
 
 	noFaults := spec
 	noFaults.Jobs = []Job{{Workload: "apache", Kind: core.KindNoDMR, Seed: 11}}
-	if _, err := newPlanner(sc, noFaults); err == nil ||
+	if _, err := newPlan(sc, noFaults); err == nil ||
 		!strings.Contains(err.Error(), "fault") {
 		t.Fatalf("fault-free cell accepted: %v", err)
 	}
@@ -73,7 +76,7 @@ func TestPlannerValidation(t *testing.T) {
 	b := a
 	b.Knobs.ReliaTrials = 99
 	dup.Jobs = []Job{a, b}
-	if _, err := newPlanner(sc, dup); err == nil ||
+	if _, err := newPlan(sc, dup); err == nil ||
 		!strings.Contains(err.Error(), "collide") {
 		t.Fatalf("trial-knob-only cells accepted: %v", err)
 	}
@@ -82,7 +85,7 @@ func TestPlannerValidation(t *testing.T) {
 	badPrec := *spec.Precision
 	badPrec.HalfWidth = 0.5
 	bad.Precision = &badPrec
-	if _, err := newPlanner(sc, bad); err == nil ||
+	if _, err := newPlan(sc, bad); err == nil ||
 		!strings.Contains(err.Error(), "half_width") {
 		t.Fatalf("out-of-bounds half-width accepted: %v", err)
 	}
@@ -403,6 +406,23 @@ func TestAdaptiveJournalAndAttribution(t *testing.T) {
 	}
 	if total != scheduled {
 		t.Fatalf("realized %d trials, journal scheduled %d", total, scheduled)
+	}
+
+	// A cold run simulated every wave, so each cell's merged event
+	// carries its waves' summed wall time: the group percentiles and
+	// the stragglers attribute real seconds.
+	if len(rep.Groups) == 0 || len(rep.Stragglers) == 0 {
+		t.Fatalf("cold adaptive run attributes no groups or stragglers: %+v", rep)
+	}
+	for _, g := range rep.Groups {
+		if g.P50 <= 0 || g.P95 <= 0 || g.P99 <= 0 || g.Max <= 0 {
+			t.Fatalf("group %s attributes zero seconds: %+v", g.Group, g)
+		}
+	}
+	for _, c := range rep.Stragglers {
+		if c.Seconds <= 0 {
+			t.Fatalf("straggler cell %d attributes zero seconds: %+v", c.Cell, c)
+		}
 	}
 }
 

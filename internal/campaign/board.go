@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -10,66 +12,77 @@ import (
 	"repro/internal/core"
 )
 
-// board is the coordinator's campaign state machine: the pull-based
-// job queue behind the lease/heartbeat/complete endpoints. One board
-// runs one campaign's uncached jobs; the Dispatcher owns its
-// lifecycle. All state transitions happen under mu, and every
-// terminal path funnels through closeLocked so doneCh closes exactly
-// once and no lease outlives the board.
+// board is the one scheduling core every campaign runs on, local or
+// distributed. It holds a plan's schedulable jobs in a priority queue —
+// the widest confidence interval first, FIFO among equals, so a fixed
+// campaign's jobs (all at one priority) lease in expansion order — and
+// hands them out as leases: to the Engine's in-process pool (next and
+// finish), or over HTTP to fleet workers a Dispatcher attached (the
+// lease/heartbeat/complete endpoints). It resolves cache hits inline
+// and runs the one completion path: cache Put, journal, feed the plan,
+// merge in expansion order, report progress.
+//
+// All state transitions happen under mu, and every terminal path
+// funnels through closeLocked so doneCh closes exactly once and no
+// lease outlives the board. The completion path runs under mu too, as
+// a deliberate trade-off: completions arrive at job-runtime
+// granularity (seconds), so even a disk-cache write (µs–ms) held under
+// the lock is orders of magnitude below the TTL/3 heartbeat budget, and
+// in exchange delivery order needs no extra machinery. Journal methods
+// take only the journal's own lock, so calling them under mu cannot
+// deadlock; the progress callback must not call back into the board.
 type board struct {
-	sc          Scale
-	jobs        []Job
+	plan        *plan
+	cache       Cache
+	jnl         *Journal
+	fobs        *FleetObs
+	onProgress  func(done, total, hits int)
 	check       string
 	ttl         time.Duration
 	maxInflight int
 	maxAttempts int
-	// onComplete delivers each first completion (job index, metrics)
-	// under mu — in completion order, exactly once per job. The
-	// callback must not call back into the board. A returned error
-	// fails the campaign (e.g. a cache write error, mirroring the
-	// local engine's behavior). Running it under mu is a deliberate
-	// trade-off: completions arrive at job-runtime granularity
-	// (seconds), so even a disk-cache write (µs–ms) held under the
-	// lock is orders of magnitude below the TTL/3 heartbeat budget,
-	// and in exchange delivery order needs no extra machinery.
-	onComplete func(idx int, m core.Metrics) error
-	// fobs instruments the lease protocol; nil records nothing.
-	fobs *FleetObs
-	// jnl journals the lease lifecycle (leased, started, reassigned,
-	// heartbeat_missed, completed/failed, merged); nil records nothing.
-	// Journal methods take only the journal's own lock, so calling them
-	// under b.mu cannot deadlock.
-	jnl *Journal
-	// expand, when non-nil, runs under mu after each first completion
-	// (after onComplete) and may append follow-up jobs to the board —
-	// the adaptive planner scheduling a cell's next wave off the wave
-	// that just landed. Returned jobs join the queue immediately, so a
-	// freed worker's very next lease poll can pick one up; the board
-	// only closes when a completion yields no expansion and nothing is
-	// left. Like onComplete, it must not call back into the board, and
-	// an error fails the campaign.
-	expand func(idx int, m core.Metrics) ([]prioJob, error)
 
 	mu          sync.Mutex
-	lastContact time.Time // any worker request; stall detection
-	// pending holds job indices awaiting a lease. With prio unset (fixed
-	// campaigns) it is a plain FIFO; with prio set (adaptive campaigns)
-	// leases pop the highest-priority index — the widest confidence
-	// interval — FIFO among equals.
-	pending   []int
-	prio      map[int]float64
-	attempts  map[int]int
-	completed map[int]bool
-	results   map[int]core.Metrics
-	leases    map[string]*lease
-	workers   map[string]*workerHealth
-	inflight  int
-	seq       int
-	done      int
-	need      int
-	closed    bool
-	err       error
-	doneCh    chan struct{}
+	work        *sync.Cond // signalled when a job is queued or the board closes
+	lastContact time.Time  // any worker request; stall detection
+	pending     []*slot    // jobs awaiting a lease
+	leases      map[string]*lease
+	workers     map[string]*workerHealth
+	inflight    int
+	seq         int
+	done        int // cells retired and merged
+	hits        int // jobs served from the cache
+	misses      int // jobs simulated
+	closed      bool
+	err         error
+	doneCh      chan struct{}
+}
+
+// boardOptions are an executor's settings for the boards it runs.
+type boardOptions struct {
+	cache      Cache
+	journal    *Journal
+	fleet      *FleetObs
+	onProgress func(done, total, hits int)
+	// ttl is how long a lease lives without a heartbeat; maxInflight
+	// caps leases handed out over HTTP. The in-process pool never reaps
+	// its leases and bounds them by its size, so it leaves both zero.
+	ttl         time.Duration
+	maxInflight int
+	// maxAttempts is how often one job may fail (error or lease expiry)
+	// before the campaign fails.
+	maxAttempts int
+}
+
+// slot is one schedulable job: a fixed cell's job or one wave of an
+// adaptive cell. Its cell, job and fingerprint never change once it is
+// queued, so a lease holder reads them without the lock.
+type slot struct {
+	cell     int
+	job      Job
+	fp       string // job.Fingerprint(sc)
+	prio     float64
+	attempts int
 }
 
 // lease is one outstanding job assignment. A lease record is kept
@@ -78,7 +91,7 @@ type board struct {
 // an explicit 410 instead of corrupting a reassigned job.
 type lease struct {
 	id      string
-	idx     int
+	slot    *slot
 	worker  string
 	granted time.Time
 	expires time.Time
@@ -101,32 +114,222 @@ const (
 	backoffMax  = 30 * time.Second
 )
 
-// newBoard builds a board over the campaign's uncached job indices.
-func newBoard(sc Scale, jobs []Job, todo []int, ttl time.Duration, maxInflight, maxAttempts int,
-	onComplete func(int, core.Metrics) error) *board {
+// newBoard journals the plan's expansion and schedules every cell's
+// first job. A campaign the cache fully serves is over before the
+// board is returned.
+func newBoard(p *plan, o boardOptions) *board {
 	b := &board{
-		sc:          sc,
-		jobs:        jobs,
+		plan:        p,
+		cache:       o.cache,
+		jnl:         o.journal,
+		fobs:        o.fleet,
+		onProgress:  o.onProgress,
 		check:       protocolCheck(),
-		ttl:         ttl,
-		maxInflight: maxInflight,
-		maxAttempts: maxAttempts,
-		onComplete:  onComplete,
-		pending:     append([]int(nil), todo...),
-		attempts:    make(map[int]int),
-		completed:   make(map[int]bool),
-		results:     make(map[int]core.Metrics),
+		ttl:         o.ttl,
+		maxInflight: o.maxInflight,
+		maxAttempts: o.maxAttempts,
 		leases:      make(map[string]*lease),
 		workers:     make(map[string]*workerHealth),
-		need:        len(todo),
 		lastContact: time.Now(),
 		doneCh:      make(chan struct{}),
 	}
-	if b.need == 0 {
-		b.closed = true
-		close(b.doneCh)
+	b.work = sync.NewCond(&b.mu)
+	b.jnl.Begin(p.sc, len(p.cells), p.prec)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, c := range p.cells {
+		b.scheduleLocked(i, p.next(c))
+	}
+	if b.done == len(p.cells) {
+		b.closeLocked(nil)
 	}
 	return b
+}
+
+// scheduleLocked puts a cell's next job on the board. A cache hit
+// resolves inline and chains: a warm cache can retire a cell — or
+// carry an adaptive cell several waves forward — without any worker
+// seeing it, which is why a warm resume re-runs only unfinished waves.
+func (b *board) scheduleLocked(cell int, j Job) {
+	for !b.closed {
+		half := b.plan.cells[cell].half
+		if b.plan.prec != nil {
+			b.jnl.WaveScheduled(cell, j, half)
+		}
+		fp := j.Fingerprint(b.plan.sc)
+		if b.cache != nil {
+			if m, ok := b.cache.Get(fp); ok {
+				b.hits++
+				b.jnl.CellDone(cell, j, true, "", 0, 0)
+				hit := outcome{Result: Result{Job: j, Metrics: m, CacheHit: true}, fp: fp}
+				next, more := b.observeLocked(cell, hit)
+				if !more {
+					return
+				}
+				j = next
+				continue
+			}
+		}
+		b.pending = append(b.pending, &slot{cell: cell, job: j, fp: fp, prio: half})
+		b.work.Signal()
+		return
+	}
+}
+
+// observeLocked feeds one finished job to the plan. When the cell
+// retires it journals the retirement (adaptive cells) and the merged
+// result, reports progress and closes the board after the last cell;
+// otherwise it returns the cell's next job. A plan error fails the
+// campaign.
+func (b *board) observeLocked(cell int, o outcome) (Job, bool) {
+	next, more, err := b.plan.observe(cell, o)
+	if err != nil {
+		b.closeLocked(err)
+		return Job{}, false
+	}
+	if more {
+		return next, true
+	}
+	c := b.plan.cells[cell]
+	if b.plan.prec != nil {
+		b.jnl.CellRetired(cell, c.job, c.trials, c.half, c.capped)
+	}
+	b.jnl.CellMerged(cell, c.merged)
+	b.done++
+	if b.onProgress != nil {
+		b.onProgress(b.done, len(b.plan.cells), b.hits)
+	}
+	if b.done == len(b.plan.cells) {
+		b.closeLocked(nil)
+	}
+	return Job{}, false
+}
+
+// leaseLocked hands the highest-priority pending job to worker.
+func (b *board) leaseLocked(worker string, now time.Time) *lease {
+	best := 0
+	for i := 1; i < len(b.pending); i++ {
+		if b.pending[i].prio > b.pending[best].prio {
+			best = i
+		}
+	}
+	s := b.pending[best]
+	b.pending = append(b.pending[:best], b.pending[best+1:]...)
+	b.seq++
+	l := &lease{
+		id:      fmt.Sprintf("l%d", b.seq),
+		slot:    s,
+		worker:  worker,
+		granted: now,
+		expires: now.Add(b.ttl),
+	}
+	b.leases[l.id] = l
+	b.inflight++
+	b.fobs.LeaseGranted(worker, s.attempts > 0)
+	// Workers lease only with free capacity and simulate immediately,
+	// so the lease grant is also the start of execution.
+	b.jnl.Leased(s.cell, s.job, worker, s.attempts+1)
+	b.jnl.Started(s.cell, s.job, worker, s.attempts+1)
+	return l
+}
+
+// next blocks until worker can lease a job and returns the lease, or
+// nil once the board has closed. It serves the in-process pool, whose
+// workers wait on the board instead of polling it.
+func (b *board) next(worker string) *lease {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for !b.closed && len(b.pending) == 0 {
+		b.work.Wait()
+	}
+	if b.closed {
+		return nil
+	}
+	return b.leaseLocked(worker, time.Now())
+}
+
+// finish completes a lease taken with next: the in-process pool's way
+// into the completion path fleet workers reach through POST /complete.
+// Pool leases never expire, so only closing the board ends one early; a
+// result arriving after that is discarded.
+func (b *board) finish(l *lease, m core.Metrics, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed {
+		b.completeLocked(l, m, err)
+	}
+}
+
+// completeLocked is the completion path of a live lease. A failed
+// attempt is journaled and retried until the attempt budget is spent.
+// A result is stored in the cache, journaled and fed to the plan, and
+// the cell's next job, if any, is scheduled. It reports the status a
+// fleet worker is told: "" when the completion failed the campaign.
+// Each job has at most one live lease, so every job is counted once:
+// a revoked or expired lease can never complete.
+func (b *board) completeLocked(l *lease, m core.Metrics, err error) string {
+	l.ended = true
+	b.inflight--
+	wall := time.Since(l.granted)
+	b.fobs.JobCompleted(l.worker, wall, err != nil)
+	s := l.slot
+	if err != nil {
+		b.jnl.CellFailed(s.cell, s.job, l.worker, s.attempts+1, err.Error())
+		b.jobFailedLocked(s, l.worker, fmt.Errorf("campaign: worker %s: job %s: %w", l.worker, s.job.Key(), err))
+		return "recorded"
+	}
+	b.workerLocked(l.worker).failures = 0
+	if b.cache != nil {
+		if err := b.cache.Put(s.fp, m); err != nil {
+			b.closeLocked(fmt.Errorf("campaign: cache write for job %s: %w", s.job.Key(), err))
+			return ""
+		}
+	}
+	b.misses++
+	b.jnl.CellDone(s.cell, s.job, false, l.worker, wall, s.attempts+1)
+	o := outcome{Result: Result{Job: s.job, Metrics: m}, worker: l.worker, wall: wall, fp: s.fp}
+	if next, more := b.observeLocked(s.cell, o); more {
+		b.scheduleLocked(s.cell, next)
+	}
+	if b.err != nil {
+		return ""
+	}
+	return "accepted"
+}
+
+// jobFailedLocked records a failed attempt: the worker backs off and
+// the job is requeued, until the attempt budget is spent — then the
+// whole campaign fails with the underlying error.
+func (b *board) jobFailedLocked(s *slot, worker string, err error) {
+	b.workerFailureLocked(worker)
+	s.attempts++
+	if s.attempts >= b.maxAttempts {
+		b.closeLocked(err)
+		return
+	}
+	b.pending = append(b.pending, s)
+	b.work.Signal()
+}
+
+// workerFailureLocked bumps a worker's failure count and backoff
+// window (exponential, capped).
+func (b *board) workerFailureLocked(worker string) {
+	wh := b.workerLocked(worker)
+	wh.failures++
+	d := backoffBase << uint(wh.failures-1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
+	}
+	wh.backoffUntil = time.Now().Add(d)
+}
+
+func (b *board) workerLocked(name string) *workerHealth {
+	wh := b.workers[name]
+	if wh == nil {
+		wh = &workerHealth{}
+		b.workers[name] = wh
+	}
+	return wh
 }
 
 // handler routes the board's worker-facing endpoints. Every request —
@@ -173,8 +376,7 @@ func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	now := time.Now()
-	wh := b.workerLocked(lr.Worker)
-	if now.Before(wh.backoffUntil) || b.inflight >= b.maxInflight || len(b.pending) == 0 {
+	if now.Before(b.workerLocked(lr.Worker).backoffUntil) || b.inflight >= b.maxInflight || len(b.pending) == 0 {
 		// Nothing to hand out right now (queue drained, in-flight cap
 		// reached, or this worker is backing off after failures); the
 		// worker polls again. Jobs may reappear via lease expiry, so an
@@ -182,29 +384,13 @@ func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	idx := b.popPendingLocked()
-	b.seq++
-	l := &lease{
-		id:      fmt.Sprintf("l%d", b.seq),
-		idx:     idx,
-		worker:  lr.Worker,
-		granted: now,
-		expires: now.Add(b.ttl),
-	}
-	b.leases[l.id] = l
-	b.inflight++
-	b.fobs.LeaseGranted(lr.Worker, b.attempts[idx] > 0)
-	j := b.jobs[idx]
-	// Workers lease only into a free slot and simulate immediately, so
-	// the lease grant is also the start of execution.
-	b.jnl.Leased(idx, j, lr.Worker, b.attempts[idx]+1)
-	b.jnl.Started(idx, j, lr.Worker, b.attempts[idx]+1)
+	l := b.leaseLocked(lr.Worker, now)
 	writeJSONTo(w, http.StatusOK, leaseResponse{
 		LeaseID:     l.id,
-		Job:         j,
-		Scale:       b.sc,
-		SimSeed:     j.SimSeed(),
-		Fingerprint: j.Fingerprint(b.sc),
+		Job:         l.slot.job,
+		Scale:       b.plan.sc,
+		SimSeed:     l.slot.job.SimSeed(),
+		Fingerprint: l.slot.fp,
 		TTLMS:       b.ttl.Milliseconds(),
 	})
 }
@@ -244,135 +430,26 @@ func (b *board) handleComplete(w http.ResponseWriter, req *http.Request) {
 		b.writeGoneLocked(w)
 		return
 	}
-	l.ended = true
-	b.inflight--
-	b.fobs.JobCompleted(l.worker, time.Since(l.granted), cr.Error != "")
-
-	idx := l.idx
-	if cr.Error != "" {
-		b.jnl.CellFailed(idx, b.jobs[idx], l.worker, b.attempts[idx]+1, cr.Error)
-		b.jobFailedLocked(idx, l.worker, fmt.Errorf("campaign: worker %s: job %s: %s",
-			l.worker, b.jobs[idx].Key(), cr.Error))
-		writeJSONTo(w, http.StatusOK, map[string]string{"status": "recorded"})
+	var (
+		m   core.Metrics
+		err error
+	)
+	switch {
+	case cr.Error != "":
+		err = errors.New(cr.Error)
+	case cr.Fingerprint != l.slot.fp || cr.Metrics == nil:
+		// The worker ran something other than the job it leased; its
+		// result must not enter any cache.
+		err = fmt.Errorf("fingerprint mismatch: got %q want %q", cr.Fingerprint, l.slot.fp)
+	default:
+		m = *cr.Metrics
+	}
+	status := b.completeLocked(l, m, err)
+	if status == "" {
+		b.writeGoneLocked(w)
 		return
 	}
-	if want := b.jobs[idx].Fingerprint(b.sc); cr.Fingerprint != want || cr.Metrics == nil {
-		b.jnl.CellFailed(idx, b.jobs[idx], l.worker, b.attempts[idx]+1,
-			fmt.Sprintf("fingerprint mismatch: got %q want %q", cr.Fingerprint, want))
-		b.jobFailedLocked(idx, l.worker, fmt.Errorf(
-			"campaign: worker %s returned fingerprint %q for job %s (want %q)",
-			l.worker, cr.Fingerprint, b.jobs[idx].Key(), want))
-		writeJSONTo(w, http.StatusOK, map[string]string{"status": "recorded"})
-		return
-	}
-	if b.completed[idx] {
-		writeJSONTo(w, http.StatusOK, map[string]string{"status": "duplicate"})
-		return
-	}
-	b.completed[idx] = true
-	b.results[idx] = *cr.Metrics
-	b.done++
-	b.workerLocked(l.worker).failures = 0
-	b.jnl.CellDone(idx, b.jobs[idx], *cr.Metrics, false, l.worker,
-		time.Since(l.granted), b.attempts[idx]+1)
-	if b.onComplete != nil {
-		if err := b.onComplete(idx, *cr.Metrics); err != nil {
-			b.closeLocked(err)
-			b.writeGoneLocked(w)
-			return
-		}
-	}
-	// Expansion must run before the done==need check: a wave completion
-	// that schedules a follow-up wave grows need in the same critical
-	// section, so the board can never close with a cell still owing
-	// trials.
-	if b.expand != nil {
-		added, err := b.expand(idx, *cr.Metrics)
-		if err != nil {
-			b.closeLocked(err)
-			b.writeGoneLocked(w)
-			return
-		}
-		for _, pj := range added {
-			b.addJobLocked(pj)
-		}
-	}
-	if b.done == b.need {
-		b.closeLocked(nil)
-	}
-	writeJSONTo(w, http.StatusOK, map[string]string{"status": "accepted"})
-}
-
-// prioJob pairs a dynamically added job with its lease priority (the
-// scheduling cell's current half-width).
-type prioJob struct {
-	job  Job
-	prio float64
-}
-
-// popPendingLocked removes and returns the next index to lease:
-// highest priority first when the board is prioritized, FIFO otherwise
-// and among equals.
-func (b *board) popPendingLocked() int {
-	best := 0
-	if b.prio != nil {
-		for i := 1; i < len(b.pending); i++ {
-			if b.prio[b.pending[i]] > b.prio[b.pending[best]] {
-				best = i
-			}
-		}
-	}
-	idx := b.pending[best]
-	b.pending = append(b.pending[:best], b.pending[best+1:]...)
-	return idx
-}
-
-// addJobLocked appends an expansion job to the board's queue.
-func (b *board) addJobLocked(pj prioJob) {
-	idx := len(b.jobs)
-	b.jobs = append(b.jobs, pj.job)
-	b.need++
-	if b.prio == nil {
-		b.prio = make(map[int]float64)
-	}
-	b.prio[idx] = pj.prio
-	b.pending = append(b.pending, idx)
-}
-
-// jobFailedLocked records a failed attempt: the worker backs off and
-// the job is requeued, until the attempt budget is spent — then the
-// whole campaign fails with the underlying error, like a local run.
-func (b *board) jobFailedLocked(idx int, worker string, err error) {
-	b.workerFailureLocked(worker)
-	b.attempts[idx]++
-	if b.attempts[idx] >= b.maxAttempts {
-		b.closeLocked(err)
-		return
-	}
-	if !b.completed[idx] {
-		b.pending = append(b.pending, idx)
-	}
-}
-
-// workerFailureLocked bumps a worker's failure count and backoff
-// window (exponential, capped).
-func (b *board) workerFailureLocked(worker string) {
-	wh := b.workerLocked(worker)
-	wh.failures++
-	d := backoffBase << uint(wh.failures-1)
-	if d > backoffMax || d <= 0 {
-		d = backoffMax
-	}
-	wh.backoffUntil = time.Now().Add(d)
-}
-
-func (b *board) workerLocked(name string) *workerHealth {
-	wh := b.workers[name]
-	if wh == nil {
-		wh = &workerHealth{}
-		b.workers[name] = wh
-	}
-	return wh
+	writeJSONTo(w, http.StatusOK, map[string]string{"status": status})
 }
 
 // reap expires overdue leases: each one counts as a failure of its
@@ -391,10 +468,11 @@ func (b *board) reap(now time.Time) {
 		l.ended = true
 		b.inflight--
 		b.fobs.LeaseExpired(l.worker)
-		b.jnl.HeartbeatMissed(l.idx, b.jobs[l.idx], l.worker, b.attempts[l.idx]+1)
-		b.jobFailedLocked(l.idx, l.worker, fmt.Errorf(
+		s := l.slot
+		b.jnl.HeartbeatMissed(s.cell, s.job, l.worker, s.attempts+1)
+		b.jobFailedLocked(s, l.worker, fmt.Errorf(
 			"campaign: worker %s lease on job %s expired %d times",
-			l.worker, b.jobs[l.idx].Key(), b.attempts[l.idx]+1))
+			l.worker, s.job.Key(), s.attempts+1))
 		if b.closed {
 			return
 		}
@@ -423,6 +501,14 @@ func (b *board) closeLocked(err error) {
 		}
 	}
 	close(b.doneCh)
+	b.work.Broadcast()
+}
+
+// isClosed reports whether the board has reached its end.
+func (b *board) isClosed() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.closed
 }
 
 // wait blocks until the board closes and returns its terminal error.
@@ -433,8 +519,30 @@ func (b *board) wait() error {
 	return b.err
 }
 
+// result waits for the board to close and renders the campaign's
+// result set in expansion order, independent of scheduling. The
+// board's terminal error — a failed job, a cache write, cancellation —
+// is the run's; so is the context's, even when the board completed.
+func (b *board) result(ctx context.Context, start time.Time) (*ResultSet, error) {
+	if err := b.wait(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return &ResultSet{
+		Scale:   b.plan.sc,
+		Results: b.plan.results(),
+		Hits:    b.hits,
+		Misses:  b.misses,
+		Wall:    time.Since(start),
+	}, nil
+}
+
 // liveLeases reports the number of un-ended leases — zero after close,
-// which the shutdown regression test pins.
+// which the shutdown regression tests pin.
 func (b *board) liveLeases() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

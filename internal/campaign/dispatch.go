@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
 )
 
 // DispatchOptions configures a Dispatcher.
@@ -58,12 +57,14 @@ type DispatchOptions struct {
 	Journal *Journal
 }
 
-// Dispatcher is the remote Runner: it shards a campaign's uncached
-// jobs across a fleet of mmmd workers through a pull-based job board
-// and merges the completions — in expansion order, through the same
-// content-addressed cache — so a sharded campaign is byte-identical
-// to a local one. It is stateless across Run calls (each run gets its
-// own board and listener) and safe for concurrent Runs.
+// Dispatcher is the remote Runner: it serves a campaign's board to a
+// fleet of mmmd workers over HTTP and merges the completions — in
+// expansion order, through the same content-addressed cache — so a
+// sharded campaign is byte-identical to a local one. Around the board
+// it keeps the fleet's concerns: attaching the workers, reaping
+// expired leases, backing off failing workers and detecting a lost
+// fleet. It is stateless across Run calls (each run gets its own board
+// and listener) and safe for concurrent Runs.
 type Dispatcher struct {
 	opts DispatchOptions
 }
@@ -91,80 +92,61 @@ func NewDispatcher(opts DispatchOptions) *Dispatcher {
 	return &Dispatcher{opts: opts}
 }
 
-// Run implements Runner. Cache hits are resolved locally; the rest go
-// on the board, the fleet is invited to pull, and the call blocks
-// until every job completed, one failed terminally, or ctx was
+// Run implements Runner. Cache hits are resolved on the coordinator;
+// the rest go on the board, the fleet is invited to pull, and the call
+// blocks until every job completed, one failed terminally, or ctx was
 // cancelled — in which case every outstanding lease is revoked before
 // returning, so no worker's late result can be double-counted by a
 // successor run (re-running simply resumes from the cache).
 func (d *Dispatcher) Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error) {
-	if len(d.opts.Workers) == 0 {
-		return nil, fmt.Errorf("campaign: dispatcher has no workers")
-	}
-	start := time.Now()
-	rs := &ResultSet{Scale: sc, Results: make([]Result, len(jobs))}
-	d.opts.Journal.Begin(sc, jobs)
-
-	// Serve cache hits locally, exactly like the engine would.
-	var todo []int
-	done, hits := 0, 0
-	progress := func() {
-		if d.opts.OnProgress != nil {
-			d.opts.OnProgress(done, len(jobs), hits)
-		}
-	}
-	for i, j := range jobs {
-		if d.opts.Cache != nil {
-			if m, ok := d.opts.Cache.Get(j.Fingerprint(sc)); ok {
-				rs.Results[i] = Result{Job: j, Metrics: m, CacheHit: true}
-				d.opts.Journal.CellDone(i, j, m, true, "", 0, 0)
-				done++
-				hits++
-				progress()
-				continue
-			}
-		}
-		todo = append(todo, i)
-	}
-
-	b := newBoard(sc, jobs, todo, d.opts.LeaseTTL, d.opts.MaxInflight, d.opts.MaxAttempts,
-		func(idx int, m core.Metrics) error {
-			rs.Results[idx] = Result{Job: jobs[idx], Metrics: m}
-			if d.opts.Cache != nil {
-				if err := d.opts.Cache.Put(jobs[idx].Fingerprint(sc), m); err != nil {
-					return err
-				}
-			}
-			done++
-			progress()
-			return nil
-		})
-	b.fobs = d.opts.Obs
-	b.jnl = d.opts.Journal
-
-	if len(todo) > 0 {
-		if err := d.serve(ctx, b); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rs.Hits, rs.Misses = hits, done-hits
-	rs.Wall = time.Since(start)
-	return rs, nil
+	rs, _, err := d.runPlan(ctx, fixedPlan(sc, jobs))
+	return rs, err
 }
 
-// serve runs one board to completion: listen, invite the fleet to
-// pull, reap expired leases (watching for total fleet loss) until the
-// board closes, and return its terminal error. Shared by the fixed and
-// adaptive dispatch paths — the board's queue discipline differs, the
-// lease protocol around it does not.
-func (d *Dispatcher) serve(ctx context.Context, b *board) error {
+// RunSpec executes a whole campaign spec across the fleet: a
+// fixed-batch spec dispatches exactly as Run does; a spec with a
+// Precision block runs adaptively, the board re-leasing capacity freed
+// by retired cells to the widest remaining intervals.
+func (d *Dispatcher) RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error) {
+	p, err := newPlan(sc, spec)
+	if err != nil {
+		return nil, err
+	}
+	rs, _, err := d.runPlan(ctx, p)
+	return rs, err
+}
+
+// runPlan runs p to its end on a new board, which it also returns so
+// tests can check that no lease outlives the run.
+func (d *Dispatcher) runPlan(ctx context.Context, p *plan) (*ResultSet, *board, error) {
+	if len(d.opts.Workers) == 0 {
+		return nil, nil, fmt.Errorf("campaign: dispatcher has no workers")
+	}
+	start := time.Now()
+	b := newBoard(p, boardOptions{
+		cache:       d.opts.Cache,
+		journal:     d.opts.Journal,
+		fleet:       d.opts.Obs,
+		onProgress:  d.opts.OnProgress,
+		ttl:         d.opts.LeaseTTL,
+		maxInflight: d.opts.MaxInflight,
+		maxAttempts: d.opts.MaxAttempts,
+	})
+	if !b.isClosed() {
+		d.serve(ctx, b)
+	}
+	rs, err := b.result(ctx, start)
+	return rs, b, err
+}
+
+// serve runs one board to its end: listen, invite the fleet to pull,
+// and reap expired leases (watching for total fleet loss) until the
+// board closes. Every failure closes the board with its error.
+func (d *Dispatcher) serve(ctx context.Context, b *board) {
 	ln, err := net.Listen("tcp", d.opts.Addr)
 	if err != nil {
-		return fmt.Errorf("campaign: coordinator listen: %w", err)
+		b.close(fmt.Errorf("campaign: coordinator listen: %w", err))
+		return
 	}
 	srv := &http.Server{Handler: b.handler()}
 	go func() { _ = srv.Serve(ln) }() // Serve returns once Close tears the listener down
@@ -184,8 +166,8 @@ func (d *Dispatcher) serve(ctx context.Context, b *board) error {
 		attached++
 	}
 	if attached == 0 {
-		b.close(lastErr)
-		return fmt.Errorf("campaign: no worker attached: %w", lastErr)
+		b.close(fmt.Errorf("campaign: no worker attached: %w", lastErr))
+		return
 	}
 
 	// Reap expired leases — and watch for total fleet loss — until
@@ -220,7 +202,6 @@ func (d *Dispatcher) serve(ctx context.Context, b *board) error {
 	case <-b.doneCh:
 	}
 	<-reapDone
-	return b.wait()
 }
 
 // attachWorker invites one worker to pull from the board.

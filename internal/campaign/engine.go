@@ -26,8 +26,10 @@ type Options struct {
 	// Cache, when non-nil, is consulted before and written after every
 	// job.
 	Cache Cache
-	// OnProgress, when non-nil, is called after every completed job
-	// with the running totals (done out of total, cache hits so far).
+	// OnProgress, when non-nil, is called after every retired cell
+	// with the running totals (cells done out of total, jobs served
+	// from the cache so far). It runs in completion order under the
+	// board's lock and must not call back into the engine.
 	OnProgress func(done, total, hits int)
 	// OnJobTime, when non-nil, is called with each simulated job's wall
 	// time (cache hits excluded). It runs on worker goroutines and must
@@ -54,9 +56,12 @@ type Options struct {
 	OnTrace func(total, dropped uint64)
 }
 
-// Engine executes expanded job sets. It is stateless apart from its
-// options and safe for concurrent Run calls (the mmmd service runs
-// several campaigns at once on one engine).
+// Engine runs campaigns on an in-process pool: Parallel goroutines
+// that lease jobs from the campaign's board and complete them directly.
+// Their attempt budget is 1 (a failed job fails the campaign) and their
+// leases never expire. It is stateless apart from its options and safe
+// for concurrent Run calls (the mmmd service runs several campaigns at
+// once on one engine).
 type Engine struct {
 	opts Options
 }
@@ -76,9 +81,10 @@ type Result struct {
 	CacheHit bool
 }
 
-// ResultSet holds a campaign's completed jobs in expansion order —
-// independent of worker-pool scheduling, so aggregation over it is
-// deterministic for any parallelism.
+// ResultSet holds a campaign's completed cells in expansion order —
+// independent of scheduling, so aggregation over it is deterministic
+// for any parallelism. Hits and Misses count jobs: one per fixed cell,
+// one per wave of an adaptive cell.
 type ResultSet struct {
 	Scale   Scale
 	Results []Result
@@ -102,121 +108,95 @@ func (rs *ResultSet) ByKey() map[string][]core.Metrics {
 // and returns the ordered results. It stops early when ctx is
 // cancelled or a job fails, returning the first error.
 func (e *Engine) Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error) {
-	start := time.Now()
-	rs := &ResultSet{Scale: sc, Results: make([]Result, len(jobs))}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e.opts.Journal.Begin(sc, jobs)
+	rs, _, err := e.runPlan(ctx, fixedPlan(sc, jobs))
+	return rs, err
+}
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     int
-		hits     int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	finish := func(hit bool) {
-		mu.Lock()
-		done++
-		if hit {
-			hits++
-		}
-		// The callback runs under the lock so progress is delivered in
-		// order; consumers must not call back into the engine.
-		if e.opts.OnProgress != nil {
-			e.opts.OnProgress(done, len(jobs), hits)
-		}
-		mu.Unlock()
-	}
-
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < e.opts.Parallel; w++ {
-		wg.Add(1)
-		// The pool slot doubles as the journal's worker label for local
-		// runs, mirroring the worker names of distributed ones.
-		label := "local-" + strconv.Itoa(w)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch: each worker recycles the cache
-			// hierarchy's multi-megabyte line arrays across the chips it
-			// builds, instead of allocating ~10 MB per job for the
-			// garbage collector to chase. The recycler is confined to
-			// this goroutine, so no locking is involved.
-			scratch := cache.NewRecycler()
-			for i := range work {
-				j := jobs[i]
-				fp := j.Fingerprint(sc)
-				if e.opts.Cache != nil {
-					if m, ok := e.opts.Cache.Get(fp); ok {
-						rs.Results[i] = Result{Job: j, Metrics: m, CacheHit: true}
-						e.opts.Journal.CellDone(i, j, m, true, "", 0, 0)
-						finish(true)
-						continue
-					}
-				}
-				e.opts.Journal.Started(i, j, label, 1)
-				rec := traceRecorder(e.opts.TraceDir, e.opts.TraceMatch, j)
-				jobStart := time.Now()
-				m, err := runJob(sc, j, scratch, rec)
-				if err != nil {
-					e.opts.Journal.CellFailed(i, j, label, 1, err.Error())
-					fail(err)
-					return
-				}
-				if e.opts.OnJobTime != nil {
-					e.opts.OnJobTime(time.Since(jobStart))
-				}
-				if rec != nil {
-					if err := writeTrace(e.opts.TraceDir, j, rec); err != nil {
-						fail(err)
-						return
-					}
-					if e.opts.OnTrace != nil {
-						e.opts.OnTrace(rec.Total(), rec.Dropped())
-					}
-				}
-				if e.opts.Cache != nil {
-					if err := e.opts.Cache.Put(fp, m); err != nil {
-						fail(err)
-						return
-					}
-				}
-				rs.Results[i] = Result{Job: j, Metrics: m}
-				e.opts.Journal.CellDone(i, j, m, false, label, time.Since(jobStart), 1)
-				finish(false)
-			}
-		}()
-	}
-feed:
-	for i := range jobs {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+// RunSpec executes a whole campaign spec: a fixed-batch spec runs its
+// expanded jobs exactly as Run does; a spec with a Precision block runs
+// adaptively.
+func (e *Engine) RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error) {
+	p, err := newPlan(sc, spec)
+	if err != nil {
 		return nil, err
 	}
-	mu.Lock()
-	rs.Hits, rs.Misses = hits, done-hits
-	mu.Unlock()
-	rs.Wall = time.Since(start)
-	return rs, nil
+	rs, _, err := e.runPlan(ctx, p)
+	return rs, err
+}
+
+// runPlan runs p to its end on a new board, which it also returns so
+// tests can check that no lease outlives the run.
+func (e *Engine) runPlan(ctx context.Context, p *plan) (*ResultSet, *board, error) {
+	start := time.Now()
+	b := newBoard(p, boardOptions{
+		cache:       e.opts.Cache,
+		journal:     e.opts.Journal,
+		onProgress:  e.opts.OnProgress,
+		maxAttempts: 1,
+	})
+	if err := ctx.Err(); err != nil {
+		b.close(err)
+	}
+	if !b.isClosed() {
+		stop := context.AfterFunc(ctx, func() { b.close(ctx.Err()) })
+		h := jobHooks{e.opts.TraceDir, e.opts.TraceMatch, e.opts.OnJobTime, e.opts.OnTrace}
+		var wg sync.WaitGroup
+		for w := 0; w < e.opts.Parallel; w++ {
+			// The pool slot doubles as the journal's worker label for
+			// local runs, mirroring the worker names of distributed ones.
+			label := "local-" + strconv.Itoa(w)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Per-worker scratch: each worker recycles the cache
+				// hierarchy's multi-megabyte line arrays across the chips
+				// it builds, instead of allocating ~10 MB per job for the
+				// garbage collector to chase. The recycler is confined to
+				// this goroutine, so no locking is involved.
+				scratch := cache.NewRecycler()
+				for l := b.next(label); l != nil; l = b.next(label) {
+					m, err := h.execute(p.sc, l.slot.job, scratch)
+					b.finish(l, m, err)
+				}
+			}()
+		}
+		wg.Wait()
+		stop()
+	}
+	rs, err := b.result(ctx, start)
+	return rs, b, err
+}
+
+// jobHooks are an executor's per-job observers: flight-recorder traces,
+// job wall times and trace volumes. None of them changes a result.
+type jobHooks struct {
+	traceDir, traceMatch string
+	onJobTime            func(time.Duration)
+	onTrace              func(total, dropped uint64)
+}
+
+// execute simulates one job for the local pool or a fleet worker and
+// reports it to the hooks: its wall time, and its trace when tracing
+// selects it.
+func (h jobHooks) execute(sc Scale, j Job, scratch *cache.Recycler) (core.Metrics, error) {
+	rec := traceRecorder(h.traceDir, h.traceMatch, j)
+	start := time.Now()
+	m, err := runJob(sc, j, scratch, rec)
+	if err != nil {
+		return core.Metrics{}, err
+	}
+	if h.onJobTime != nil {
+		h.onJobTime(time.Since(start))
+	}
+	if rec != nil {
+		if err := writeTrace(h.traceDir, j, rec); err != nil {
+			return core.Metrics{}, err
+		}
+		if h.onTrace != nil {
+			h.onTrace(rec.Total(), rec.Dropped())
+		}
+	}
+	return m, nil
 }
 
 // runJob builds and measures one simulation (or, for reliability

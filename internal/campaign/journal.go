@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
 )
 
 // isCanceled reports whether err is (or wraps) a context cancellation
@@ -63,23 +62,13 @@ const (
 	EventCellRetired     = api.EventCellRetired
 )
 
-// stagedCell is a completed-but-not-yet-merged cell result awaiting
-// its turn in the expansion-order prefix.
-type stagedCell struct {
-	job    Job
-	m      core.Metrics
-	hit    bool
-	worker string
-	wall   time.Duration
-}
-
-// Journal is one run's event bus. Emitters (engine, dispatcher,
-// board) call the typed methods; consumers read EventsSince, which
-// the SSE endpoint turns into history-then-live streaming. A nil
-// *Journal records nothing, so every call site is unconditional.
+// Journal is one run's event bus. The campaign board calls the typed
+// methods; consumers read EventsSince, which the SSE endpoint turns
+// into history-then-live streaming. A nil *Journal records nothing, so
+// every call site is unconditional.
 //
-// Merge ordering is owned here: CellDone stages out-of-order
-// completions and emits EventMerged for the contiguous expansion-order
+// Merge ordering is owned here: CellMerged stages out-of-order
+// retirements and emits EventMerged for the contiguous expansion-order
 // prefix only, so subscribers observe the deterministic row sequence
 // regardless of pool scheduling or fleet racing.
 type Journal struct {
@@ -94,17 +83,8 @@ type Journal struct {
 	wake     chan struct{}
 	closed   bool
 
-	total  int
-	scale  Scale
 	next   int // next cell index to merge
-	staged map[int]*stagedCell
-
-	// Adaptive runs: cell indices are cell-template lookups, not the
-	// board's job indices (the board numbers waves, the journal numbers
-	// cells), and the merged prefix is fed by CellMerged instead of
-	// CellDone — one merged event per retired cell.
-	adaptive bool
-	cells    map[Job]int
+	staged map[int]*outcome
 }
 
 // NewJournal opens a journal for runID. When path is non-empty the
@@ -116,7 +96,7 @@ func NewJournal(runID, path string) (*Journal, error) {
 		runID:  runID,
 		path:   path,
 		wake:   make(chan struct{}),
-		staged: make(map[int]*stagedCell),
+		staged: make(map[int]*outcome),
 	}
 	if path != "" {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -162,8 +142,10 @@ func (j *Journal) emitLocked(ev Event) {
 }
 
 // Begin records the run's expansion: the first event, carrying the
-// cell count and scale.
-func (j *Journal) Begin(sc Scale, jobs []Job) {
+// scale, the cell count and, for an adaptive run, its normalized
+// precision block (an adaptive run's wave count is not known up front
+// — that is the point).
+func (j *Journal) Begin(sc Scale, cells int, prec *Precision) {
 	if j == nil {
 		return
 	}
@@ -172,59 +154,14 @@ func (j *Journal) Begin(sc Scale, jobs []Job) {
 	if j.closed {
 		return
 	}
-	j.total = len(jobs)
-	j.scale = sc
-	scale := sc
 	j.emitLocked(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
-		Total: len(jobs), Scale: &scale})
-}
-
-// BeginAdaptive records an adaptive run's expansion: Total counts
-// cells (not waves — wave counts are not known up front, that is the
-// point), the normalized precision block rides on the expanded event,
-// and subsequent cell-scoped events are re-indexed from whatever job
-// index the emitter used (the board numbers waves) to the cell's
-// expansion index via its wave-invariant template.
-func (j *Journal) BeginAdaptive(sc Scale, cells []Job, prec Precision) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.total = len(cells)
-	j.scale = sc
-	j.adaptive = true
-	j.cells = make(map[Job]int, len(cells))
-	for i, c := range cells {
-		j.cells[cellTemplate(c)] = i
-	}
-	scale := sc
-	p := prec
-	j.emitLocked(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
-		Total: len(cells), Scale: &scale, Precision: &p})
-}
-
-// cellOfLocked maps an emitter's job index to the journal's cell
-// index: the identity for fixed-batch runs, the cell-template lookup
-// for adaptive runs (where the board hands out wave jobs whose board
-// indices mean nothing cell-wise).
-func (j *Journal) cellOfLocked(idx int, job Job) int {
-	if !j.adaptive {
-		return idx
-	}
-	if c, ok := j.cells[cellTemplate(job)]; ok {
-		return c
-	}
-	return idx
+		Total: cells, Scale: &sc, Precision: prec})
 }
 
 // Leased records a lease grant; an Attempt above 1 additionally emits
 // EventReassigned — the board is retrying a cell whose earlier attempt
 // failed or expired.
-func (j *Journal) Leased(idx int, job Job, worker string, attempt int) {
+func (j *Journal) Leased(cell int, job Job, worker string, attempt int) {
 	if j == nil {
 		return
 	}
@@ -233,17 +170,16 @@ func (j *Journal) Leased(idx int, job Job, worker string, attempt int) {
 	if j.closed {
 		return
 	}
-	idx = j.cellOfLocked(idx, job)
 	if attempt > 1 {
-		j.emitLocked(Event{Type: EventReassigned, Cell: idx, Key: job.Key(),
+		j.emitLocked(Event{Type: EventReassigned, Cell: cell, Key: job.Key(),
 			Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 	}
-	j.emitLocked(Event{Type: EventLeased, Cell: idx, Key: job.Key(),
+	j.emitLocked(Event{Type: EventLeased, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
-// Started records a cell beginning simulation.
-func (j *Journal) Started(idx int, job Job, worker string, attempt int) {
+// Started records a cell's job beginning simulation.
+func (j *Journal) Started(cell int, job Job, worker string, attempt int) {
 	if j == nil {
 		return
 	}
@@ -252,12 +188,12 @@ func (j *Journal) Started(idx int, job Job, worker string, attempt int) {
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventStarted, Cell: j.cellOfLocked(idx, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventStarted, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
 // HeartbeatMissed records a lease reaped after missed heartbeats.
-func (j *Journal) HeartbeatMissed(idx int, job Job, worker string, attempt int) {
+func (j *Journal) HeartbeatMissed(cell int, job Job, worker string, attempt int) {
 	if j == nil {
 		return
 	}
@@ -266,13 +202,13 @@ func (j *Journal) HeartbeatMissed(idx int, job Job, worker string, attempt int) 
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventHeartbeatMissed, Cell: j.cellOfLocked(idx, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventHeartbeatMissed, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
 // CellFailed records one failed attempt (the cell may be retried; a
 // terminal run failure is Finish's run-level EventFailed).
-func (j *Journal) CellFailed(idx int, job Job, worker string, attempt int, errMsg string) {
+func (j *Journal) CellFailed(cell int, job Job, worker string, attempt int, errMsg string) {
 	if j == nil {
 		return
 	}
@@ -281,15 +217,15 @@ func (j *Journal) CellFailed(idx int, job Job, worker string, attempt int, errMs
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventFailed, Cell: j.cellOfLocked(idx, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventFailed, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Error: errMsg, Wave: job.Knobs.Wave})
 }
 
-// WaveScheduled records the sequential-stopping planner putting one
-// wave of an adaptive cell on the schedule; half is the cell's Wilson
+// WaveScheduled records the sequential-stopping plan putting one wave
+// of an adaptive cell on the schedule; half is the cell's Wilson
 // half-width going into the wave (1 before any trials ran — no data,
 // widest possible interval).
-func (j *Journal) WaveScheduled(job Job, half float64) {
+func (j *Journal) WaveScheduled(cell int, job Job, half float64) {
 	if j == nil {
 		return
 	}
@@ -298,14 +234,14 @@ func (j *Journal) WaveScheduled(job Job, half float64) {
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventWaveScheduled, Cell: j.cellOfLocked(-1, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventWaveScheduled, Cell: cell, Key: job.Key(),
 		Wave: job.Knobs.Wave, Trials: job.Knobs.ReliaTrials, HalfWidth: half})
 }
 
 // CellRetired records an adaptive cell leaving the schedule after
 // trials total trials with final half-width half; capped marks a cell
 // that hit MaxTrials instead of its target.
-func (j *Journal) CellRetired(job Job, trials int, half float64, capped bool) {
+func (j *Journal) CellRetired(cell int, job Job, trials int, half float64, capped bool) {
 	if j == nil {
 		return
 	}
@@ -314,95 +250,56 @@ func (j *Journal) CellRetired(job Job, trials int, half float64, capped bool) {
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventCellRetired, Cell: j.cellOfLocked(-1, job), Key: job.Key(),
+	j.emitLocked(Event{Type: EventCellRetired, Cell: cell, Key: job.Key(),
 		Trials: trials, HalfWidth: half, Capped: capped})
 }
 
-// CellMerged feeds the merged prefix of an adaptive run: one call per
-// retired cell with the cell's template job and wave-merged metrics
-// (hit reports whether every wave came from the cache). The same
-// exactly-once, expansion-order staging as fixed-batch CellDone.
-func (j *Journal) CellMerged(job Job, m core.Metrics, hit bool) {
+// CellDone records one of a cell's jobs landing: EventCacheHit for a
+// cache hit, EventCompleted with the attempt's worker and wall time
+// otherwise. A fixed cell has one job, an adaptive cell one per wave.
+func (j *Journal) CellDone(cell int, job Job, hit bool, worker string, wall time.Duration, attempt int) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return
-	}
-	idx := j.cellOfLocked(-1, job)
-	if idx < j.next || idx < 0 || j.staged[idx] != nil {
-		return
-	}
-	j.staged[idx] = &stagedCell{job: job, m: m, hit: hit}
-	j.mergeReadyLocked()
-}
-
-// CellDone records a cell's result landing (EventCacheHit for cache
-// hits, EventCompleted with the attempt's wall time otherwise) and
-// advances the merged prefix: every staged cell that is now contiguous
-// from the front emits its EventMerged — in expansion order, exactly
-// once, carrying the Job, Metrics and fingerprint — so subscribers see
-// the deterministic row sequence as it becomes available. Duplicate
-// deliveries for an already-staged or already-merged cell are dropped.
-func (j *Journal) CellDone(idx int, job Job, m core.Metrics, hit bool, worker string, wall time.Duration, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	if j.adaptive {
-		// Adaptive runs complete many waves per cell: record each one
-		// (the board already deduplicates deliveries per wave job), but
-		// leave the merged prefix to CellMerged — a cell merges once,
-		// when it retires with its wave-merged aggregate.
-		cell := j.cellOfLocked(idx, job)
-		if hit {
-			j.emitLocked(Event{Type: EventCacheHit, Cell: cell, Key: job.Key(), Hit: true,
-				Wave: job.Knobs.Wave})
-		} else {
-			j.emitLocked(Event{Type: EventCompleted, Cell: cell, Key: job.Key(),
-				Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(),
-				Wave: job.Knobs.Wave})
-		}
-		return
-	}
-	if idx < j.next || j.staged[idx] != nil {
 		return
 	}
 	if hit {
-		j.emitLocked(Event{Type: EventCacheHit, Cell: idx, Key: job.Key(), Hit: true})
-	} else {
-		j.emitLocked(Event{Type: EventCompleted, Cell: idx, Key: job.Key(),
-			Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds()})
+		j.emitLocked(Event{Type: EventCacheHit, Cell: cell, Key: job.Key(), Hit: true,
+			Wave: job.Knobs.Wave})
+		return
 	}
-	j.staged[idx] = &stagedCell{job: job, m: m, hit: hit, worker: worker, wall: wall}
-	j.mergeReadyLocked()
+	j.emitLocked(Event{Type: EventCompleted, Cell: cell, Key: job.Key(),
+		Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(), Wave: job.Knobs.Wave})
 }
 
-// mergeReadyLocked emits EventMerged for every staged cell that is
-// now contiguous from the front of the expansion order. An adaptive
-// cell's merged aggregate never simulated as one job, so it carries
-// no fingerprint — no single cache entry corresponds to it.
-func (j *Journal) mergeReadyLocked() {
-	for {
-		st := j.staged[j.next]
-		if st == nil {
-			return
-		}
+// CellMerged records a retired cell's result and advances the merged
+// prefix: every staged cell that is now contiguous from the front emits
+// its EventMerged — in expansion order, exactly once, carrying the Job
+// and Metrics — so subscribers see the deterministic row sequence as it
+// becomes available. A repeated delivery for an already-staged or
+// already-merged cell is dropped.
+func (j *Journal) CellMerged(cell int, o outcome) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return
+	}
+	if cell < j.next || j.staged[cell] != nil {
+		return
+	}
+	j.staged[cell] = &o
+	for st := j.staged[j.next]; st != nil; st = j.staged[j.next] {
 		delete(j.staged, j.next)
-		jb, mt := st.job, st.m
-		fp := ""
-		if !j.adaptive {
-			fp = jb.Fingerprint(j.scale)
-		}
+		jb, mt := st.Job, st.Metrics
 		j.emitLocked(Event{Type: EventMerged, Cell: j.next, Key: jb.Key(),
-			Worker: st.worker, WallMS: st.wall.Milliseconds(), Hit: st.hit,
-			Fp: fp, Job: &jb, Metrics: &mt})
+			Worker: st.worker, WallMS: st.wall.Milliseconds(), Hit: st.CacheHit,
+			Fp: st.fp, Job: &jb, Metrics: &mt})
 		j.next++
 	}
 }

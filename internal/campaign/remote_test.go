@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,15 +284,96 @@ func TestShutdownNeverDoubleCounts(t *testing.T) {
 	}
 }
 
+// errPut is the error every failingCache write returns.
+var errPut = errors.New("cache write refused")
+
+// failingCache is a cache that never hits and refuses every write.
+type failingCache struct{}
+
+func (failingCache) Get(string) (core.Metrics, bool) { return core.Metrics{}, false }
+func (failingCache) Put(string, core.Metrics) error  { return errPut }
+
+// TestFailureAndCancellationEndRuns covers both executors and both
+// kinds of plan: a cache-write failure fails the run with that error,
+// and a cancellation mid-run returns context.Canceled — each within a
+// time bound and with no lease left live on the board.
+func TestFailureAndCancellationEndRuns(t *testing.T) {
+	type planRunner interface {
+		runPlan(ctx context.Context, p *plan) (*ResultSet, *board, error)
+	}
+	executors := []struct {
+		name string
+		make func(t *testing.T, c Cache, progress func(done, total, hits int)) planRunner
+	}{
+		{"engine", func(t *testing.T, c Cache, progress func(int, int, int)) planRunner {
+			return New(Options{Parallel: 2, Cache: c, OnProgress: progress})
+		}},
+		{"fleet", func(t *testing.T, c Cache, progress func(int, int, int)) planRunner {
+			_, ts := startWorker(t, "w1", 2, nil)
+			return NewDispatcher(DispatchOptions{Workers: []string{ts.URL}, Cache: c,
+				LeaseTTL: time.Second, OnProgress: progress})
+		}},
+	}
+	plans := []struct {
+		name string
+		make func(t *testing.T) *plan
+	}{
+		{"fixed", func(t *testing.T) *plan { return fixedPlan(microScale(), determinismJobs(t)) }},
+		{"adaptive", func(t *testing.T) *plan {
+			p, err := newPlan(microScale(), adaptiveSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+	}
+	// run executes p on r and fails the test unless the run ends with
+	// want, within the bound, leaving no live lease.
+	run := func(t *testing.T, ctx context.Context, r planRunner, p *plan, want error) {
+		t.Helper()
+		type ended struct {
+			b   *board
+			err error
+		}
+		res := make(chan ended, 1)
+		go func() {
+			_, b, err := r.runPlan(ctx, p)
+			res <- ended{b, err}
+		}()
+		select {
+		case out := <-res:
+			if !errors.Is(out.err, want) {
+				t.Fatalf("run ended with %v, want %v", out.err, want)
+			}
+			if n := out.b.liveLeases(); n != 0 {
+				t.Fatalf("%d leases still live after the run ended", n)
+			}
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("run did not end with %v", want)
+		}
+	}
+	for _, ex := range executors {
+		for _, pl := range plans {
+			t.Run(ex.name+"/"+pl.name+"/cache-write", func(t *testing.T) {
+				run(t, context.Background(), ex.make(t, failingCache{}, nil), pl.make(t), errPut)
+			})
+			t.Run(ex.name+"/"+pl.name+"/cancel", func(t *testing.T) {
+				// Cancel once the first cell retires, with jobs in flight.
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var once sync.Once
+				r := ex.make(t, nil, func(int, int, int) { once.Do(cancel) })
+				run(t, ctx, r, pl.make(t), context.Canceled)
+			})
+		}
+	}
+}
+
 // boardFixture serves a bare board over httptest so protocol-level
 // behavior can be pinned without a dispatcher in the way.
 func boardFixture(t *testing.T, jobs []Job, ttl time.Duration, maxInflight int) (*board, *httptest.Server) {
 	t.Helper()
-	todo := make([]int, len(jobs))
-	for i := range todo {
-		todo[i] = i
-	}
-	b := newBoard(microScale(), jobs, todo, ttl, maxInflight, 3, nil)
+	b := newBoard(fixedPlan(microScale(), jobs), boardOptions{ttl: ttl, maxInflight: maxInflight, maxAttempts: 3})
 	ts := httptest.NewServer(b.handler())
 	t.Cleanup(ts.Close)
 	return b, ts
@@ -472,7 +555,7 @@ func TestBoardAttemptBudgetFailsCampaign(t *testing.T) {
 func TestWorkerRefusesIncompatibleCoordinator(t *testing.T) {
 	w, ts := startWorker(t, "w1", 1, nil)
 	body, _ := json.Marshal(attachRequest{Coordinator: "http://127.0.0.1:1", Check: "p1.s1.beef"})
-	resp, err := http.Post(ts.URL+"/attach", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/attach", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,58 +1,35 @@
 package campaign
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
-// Runner executes an expanded job set at a scale and returns the
-// ordered result set. It is the seam between campaign *definition*
-// (Spec/Expand) and campaign *execution*: the local bounded worker
-// pool (Engine) and the remote fleet dispatcher (Dispatcher) both
-// implement it, so every front end — internal/exp tables, mmmbench,
-// the mmmd service — can run a sweep on one box or across a worker
-// fleet without caring which.
+// Runner executes campaigns at a scale and returns the ordered result
+// set. It is the seam between campaign *definition* (Spec/Expand) and
+// campaign *execution*: the local bounded worker pool (Engine) and the
+// remote fleet dispatcher (Dispatcher) both implement it, so every
+// front end — internal/exp tables, mmmbench, the mmmd service — can run
+// a sweep on one box or across a worker fleet without caring which.
+// Run takes an expanded job set; RunSpec takes a whole spec, which an
+// adaptive-precision campaign needs — its jobs are not known up front
+// (the Precision block drives sequential stopping). For a spec without
+// a Precision block RunSpec behaves exactly like Run on its expansion.
 //
 // Implementations must uphold the engine's contract: Results are in
 // expansion order regardless of scheduling, the run stops on the first
 // error or context cancellation, and — given the per-job derived seeds
-// — the same (scale, jobs) input produces byte-identical Summarize
-// rows however the work was placed.
+// — the same input produces byte-identical Summarize rows however the
+// work was placed.
 type Runner interface {
 	Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error)
-}
-
-// SpecRunner additionally executes whole campaign specs. The
-// distinction matters for adaptive-precision campaigns: their job set
-// is not known up front (the Precision block drives sequential
-// stopping), so they cannot travel through Run's expanded-jobs
-// contract. A SpecRunner's RunSpec must behave exactly like Run for
-// specs without a Precision block.
-type SpecRunner interface {
-	Runner
 	RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error)
 }
 
 // Engine and Dispatcher are the two interchangeable executors.
 var (
-	_ SpecRunner = (*Engine)(nil)
-	_ SpecRunner = (*Dispatcher)(nil)
+	_ Runner = (*Engine)(nil)
+	_ Runner = (*Dispatcher)(nil)
 )
 
-// RunSpec executes a campaign spec on any Runner: fixed-batch specs
-// expand and run through the plain Runner contract (so custom Runner
-// implementations keep working), adaptive specs are routed to the
-// runner's RunSpec.
+// RunSpec executes a campaign spec on r.
 func RunSpec(ctx context.Context, r Runner, sc Scale, spec Spec) (*ResultSet, error) {
-	if sr, ok := r.(SpecRunner); ok {
-		return sr.RunSpec(ctx, sc, spec)
-	}
-	if spec.Precision == nil {
-		jobs, err := spec.Expand()
-		if err != nil {
-			return nil, err
-		}
-		return r.Run(ctx, sc, jobs)
-	}
-	return nil, fmt.Errorf("campaign: runner %T cannot run adaptive-precision campaigns", r)
+	return r.RunSpec(ctx, sc, spec)
 }

@@ -61,10 +61,11 @@ type Spec struct {
 	// verbatim (still validated and deduplicated by Expand).
 	Jobs []Job `json:"jobs,omitempty"`
 	// Precision, when set, makes the campaign adaptive: Expand's jobs
-	// become cells whose reliability trials the engine/dispatcher
-	// schedules in waves under the sequential stopping rule instead of
-	// one fixed batch per cell. Every cell must be a reliability cell
-	// (Knobs.FaultInterval > 0). Run such specs through RunSpec.
+	// become cells whose reliability trials the plan schedules in waves
+	// under the sequential stopping rule instead of one fixed batch per
+	// cell. Every cell must be a reliability cell
+	// (Knobs.FaultInterval > 0); Cells checks that. Run such specs
+	// through RunSpec.
 	Precision *Precision `json:"precision,omitempty"`
 }
 

@@ -46,8 +46,8 @@ type WorkerOptions struct {
 	OnTrace func(total, dropped uint64)
 }
 
-// Worker is the fleet-side runtime behind mmmd -worker: it serves an
-// /attach endpoint, and for every attached coordinator runs pull
+// Worker is the fleet-side runtime behind mmmd -worker: it serves a
+// /v1/attach endpoint, and for every attached coordinator runs pull
 // loops that lease jobs, heartbeat while simulating, and complete
 // with canonical metrics plus the job's cache key. A worker holds no
 // campaign state: between jobs it is a blank simulator, so killing
@@ -98,11 +98,10 @@ func NewWorker(opts WorkerOptions) *Worker {
 }
 
 // Handler routes the worker's coordinator-facing endpoints. Attach is
-// canonical under /v1 (protoVersion 2 coordinators post there); the
-// unversioned spelling stays as a deprecated alias for by-hand
-// attachment and old scripts. The board's own lease endpoints are not
-// versioned this way — they are ephemeral per-campaign internals,
-// guarded by the protocol check token instead.
+// served under /v1, where protoVersion 2 coordinators post. The
+// board's own lease endpoints are not versioned this way — they are
+// ephemeral per-campaign internals, guarded by the protocol check
+// token instead.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
@@ -110,11 +109,6 @@ func (w *Worker) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /status", w.handleStatus)
 	mux.HandleFunc("POST "+api.PathPrefix+"/attach", w.handleAttach)
-	mux.HandleFunc("POST /attach", func(rw http.ResponseWriter, req *http.Request) {
-		rw.Header().Set(api.DeprecationHeader, "true")
-		rw.Header().Set("Link", fmt.Sprintf("<%s/attach>; rel=%q", api.PathPrefix, api.SuccessorRel))
-		w.handleAttach(rw, req)
-	})
 	return mux
 }
 
@@ -385,25 +379,13 @@ func (w *Worker) runLeased(ctx context.Context, boardURL string, lr leaseRespons
 		}
 	}()
 
-	rec := traceRecorder(w.opts.TraceDir, w.opts.TraceMatch, lr.Job)
-	jobStart := time.Now()
-	m, err := runJob(lr.Scale, lr.Job, scratch, rec)
+	h := jobHooks{w.opts.TraceDir, w.opts.TraceMatch, w.opts.OnJobTime, w.opts.OnTrace}
+	m, err := h.execute(lr.Scale, lr.Job, scratch)
 	close(hbStop)
 	<-hbDone
 
 	if err != nil {
 		return nil, err
-	}
-	if w.opts.OnJobTime != nil {
-		w.opts.OnJobTime(time.Since(jobStart))
-	}
-	if rec != nil {
-		if err := writeTrace(w.opts.TraceDir, lr.Job, rec); err != nil {
-			return nil, err
-		}
-		if w.opts.OnTrace != nil {
-			w.opts.OnTrace(rec.Total(), rec.Dropped())
-		}
 	}
 	if revoked.Load() || ctx.Err() != nil {
 		return nil, nil

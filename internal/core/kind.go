@@ -56,29 +56,21 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 	return strconv.AppendQuote(nil, name), nil
 }
 
-// UnmarshalJSON accepts the named form and, for compatibility with
-// pre-v4 job documents, the legacy integer form.
+// UnmarshalJSON accepts the named form only: a bare enum integer is
+// rejected.
 func (k *Kind) UnmarshalJSON(data []byte) error {
 	s := string(data)
-	if len(s) > 0 && s[0] == '"' {
-		name, err := strconv.Unquote(s)
-		if err != nil {
-			return err
-		}
-		kk, err := ParseKind(name)
-		if err != nil {
-			return err
-		}
-		*k = kk
-		return nil
+	if len(s) == 0 || s[0] != '"' {
+		return fmt.Errorf("core: kind must be a quoted name, got %s", s)
 	}
-	n, err := strconv.Atoi(s)
+	name, err := strconv.Unquote(s)
 	if err != nil {
-		return fmt.Errorf("core: kind must be a name or integer: %w", err)
+		return err
 	}
-	if Kind(n) < KindNoDMR2X || Kind(n) > KindSingleOS {
-		return fmt.Errorf("core: kind %d out of range", n)
+	kk, err := ParseKind(name)
+	if err != nil {
+		return err
 	}
-	*k = Kind(n)
+	*k = kk
 	return nil
 }

@@ -122,10 +122,8 @@ func (c Config) runSet(jobs []campaign.Job) (*campaign.ResultSet, error) {
 	return r.Run(context.Background(), c.Scale(), jobs)
 }
 
-// runSpec executes a whole spec on the configured runner through
-// campaign.RunSpec, which routes adaptive-precision specs to the
-// sequential-stopping scheduler and everything else through the fixed
-// path runSet uses.
+// runSpec executes a whole spec, fixed or adaptive-precision, on the
+// configured runner through campaign.RunSpec.
 func (c Config) runSpec(spec campaign.Spec) (*campaign.ResultSet, error) {
 	r := c.Runner
 	if r == nil {
