@@ -44,8 +44,8 @@ var hotPathKinds = func() []hotPathCell {
 // recorded numbers carry a per-cell min/median/max spread instead of a
 // single apache/seed-11 point — per "Producing Wrong Data Without
 // Doing Anything Obviously Wrong", one cell's median is exactly the
-// measurement-bias trap. benchgate treats apache/s11 as the primary
-// cell, so baselines recorded before the grid still gate.
+// measurement-bias trap. `mmmgate bench` gates every cell the latest
+// BENCH_hotpath.json entry records.
 var (
 	hotPathWorkloads = []string{"apache", "oltp"}
 	hotPathSeeds     = []uint64{11, 12, 13}
@@ -71,7 +71,7 @@ func hotPathChip(b *testing.B, cell hotPathCell, wlName string, seed uint64) *co
 // BenchmarkHotPath measures Chip.Run throughput in simulated cycles
 // per second across the kind × workload × seed grid (the numbers
 // BENCH_hotpath.json records). Sub-benchmark names are
-// <kind>/<workload>/s<seed>, the cell key benchgate parses.
+// <kind>/<workload>/s<seed>, the cell key `mmmgate bench` parses.
 func BenchmarkHotPath(b *testing.B) {
 	const slice = 10_000 // cycles per iteration: several gang timeslices per second
 	for _, cell := range hotPathKinds {

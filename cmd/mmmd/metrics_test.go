@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/obs"
 )
@@ -148,7 +149,7 @@ func TestServiceStatusIncludesRuns(t *testing.T) {
 	second := submitAndWait(t, ts, micro)
 	_, data := do(t, http.MethodGet, ts.URL+"/v1/status", "")
 	var st struct {
-		Runs []runStatus `json:"runs"`
+		Runs []api.RunStatus `json:"runs"`
 	}
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatalf("status body: %v\n%s", err, data)

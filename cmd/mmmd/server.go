@@ -22,14 +22,6 @@ import (
 	"repro/internal/stats"
 )
 
-// submitRequest and runStatus are the typed wire bodies of the
-// campaign endpoints; internal/api owns them (they are shared with
-// mmmtail, tests and any other client), this service just serves them.
-type (
-	submitRequest = api.SubmitRequest
-	runStatus     = api.RunStatus
-)
-
 // run is one submitted campaign and its execution state.
 type run struct {
 	mu       sync.Mutex
@@ -57,10 +49,10 @@ type run struct {
 	jnl *campaign.Journal
 }
 
-func (r *run) snapshot() runStatus {
+func (r *run) snapshot() api.RunStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return runStatus{
+	return api.RunStatus{
 		ID:          r.id,
 		Name:        r.name,
 		Scale:       r.scale,
@@ -187,7 +179,7 @@ func (s *server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var body submitRequest
+	var body api.SubmitRequest
 	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -442,24 +434,19 @@ func (s *server) lookup(w http.ResponseWriter, req *http.Request) *run {
 	return r
 }
 
-// handleServiceStatus reports service-level health: uptime, runs by
-// state, per-run progress snapshots, and the shared result cache's
-// hit/miss/store counters.
-func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
+// runSnapshots returns a status snapshot of every retained run in
+// submission order (ids are "c<seq>", so shorter ids sort first), and
+// the count of runs evicted by the retention cap.
+func (s *server) runSnapshots() ([]api.RunStatus, uint64) {
 	s.mu.Lock()
-	byStatus := map[string]int{}
-	total := len(s.runs)
 	runs := make([]*run, 0, len(s.runs))
 	for _, r := range s.runs {
-		r.mu.Lock()
-		byStatus[r.status]++
-		r.mu.Unlock()
 		runs = append(runs, r)
 	}
 	evicted := s.evicted
 	s.mu.Unlock()
 
-	snaps := make([]runStatus, 0, len(runs))
+	snaps := make([]api.RunStatus, 0, len(runs))
 	for _, r := range runs {
 		snaps = append(snaps, r.snapshot())
 	}
@@ -470,11 +457,22 @@ func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
 		}
 		return a < b
 	})
+	return snaps, evicted
+}
 
+// handleServiceStatus reports service-level health: uptime, runs by
+// state, per-run progress snapshots, and the shared result cache's
+// hit/miss/store counters.
+func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
+	snaps, evicted := s.runSnapshots()
+	byStatus := map[string]int{}
+	for _, st := range snaps {
+		byStatus[st.Status]++
+	}
 	out := map[string]any{
 		"status":    "ok",
 		"uptime_ms": time.Since(s.started).Milliseconds(),
-		"campaigns": map[string]any{"total": total, "by_status": byStatus, "evicted": evicted},
+		"campaigns": map[string]any{"total": len(snaps), "by_status": byStatus, "evicted": evicted},
 		"runs":      snaps,
 	}
 	if s.counting != nil {
@@ -487,25 +485,8 @@ func (s *server) handleServiceStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	ids := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		ids = append(ids, r)
-	}
-	s.mu.Unlock()
-	out := make([]runStatus, 0, len(ids))
-	for _, r := range ids {
-		out = append(out, r.snapshot())
-	}
-	// Submission order: ids are "c<seq>", so shorter ids sort first.
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].ID, out[j].ID
-		if len(a) != len(b) {
-			return len(a) < len(b)
-		}
-		return a < b
-	})
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out})
+	snaps, _ := s.runSnapshots()
+	writeJSON(w, http.StatusOK, api.RunList{Campaigns: snaps})
 }
 
 func (s *server) handleStatus(w http.ResponseWriter, req *http.Request) {
@@ -554,7 +535,7 @@ func (s *server) drain() { s.wg.Wait() }
 // scaleOf resolves the request's scale preset and overrides. Overrides
 // are pointers: present-but-zero is applied (a zero-warmup campaign is
 // legitimate), absent means "keep the preset".
-func scaleOf(body submitRequest) (campaign.Scale, error) {
+func scaleOf(body api.SubmitRequest) (campaign.Scale, error) {
 	var sc campaign.Scale
 	switch body.Scale {
 	case "", "default":
@@ -591,5 +572,5 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/mode"
 )
@@ -54,13 +55,13 @@ func do(t *testing.T, method, url, body string) (int, []byte) {
 
 // submitAndWait submits a campaign and polls until it reaches a
 // terminal state, returning the final status.
-func submitAndWait(t *testing.T, ts *httptest.Server, body string) runStatus {
+func submitAndWait(t *testing.T, ts *httptest.Server, body string) api.RunStatus {
 	t.Helper()
 	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
 	}
-	var st runStatus
+	var st api.RunStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestSubmitRunFetchAndCachedResubmit(t *testing.T) {
 		t.Fatalf("list: %d", code)
 	}
 	var list struct {
-		Campaigns []runStatus `json:"campaigns"`
+		Campaigns []api.RunStatus `json:"campaigns"`
 	}
 	if err := json.Unmarshal(data, &list); err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestResultsBeforeDoneConflicts(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
 	}
-	var st runStatus
+	var st api.RunStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestCancelMidCampaign(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
 	}
-	var st runStatus
+	var st api.RunStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestCancelMidCampaign(t *testing.T) {
 // timeslice are rejected.
 func TestZeroWarmupOverride(t *testing.T) {
 	u := func(v uint64) *uint64 { return &v }
-	sc, err := scaleOf(submitRequest{Scale: "quick", Warmup: u(0)})
+	sc, err := scaleOf(api.SubmitRequest{Scale: "quick", Warmup: u(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +362,10 @@ func TestZeroWarmupOverride(t *testing.T) {
 	if sc.Measure != campaign.QuickScale().Measure {
 		t.Fatalf("unset measure should keep the preset: %+v", sc)
 	}
-	if _, err := scaleOf(submitRequest{Measure: u(0)}); err == nil {
+	if _, err := scaleOf(api.SubmitRequest{Measure: u(0)}); err == nil {
 		t.Fatal("zero measure accepted")
 	}
-	if _, err := scaleOf(submitRequest{Timeslice: u(0)}); err == nil {
+	if _, err := scaleOf(api.SubmitRequest{Timeslice: u(0)}); err == nil {
 		t.Fatal("zero timeslice accepted")
 	}
 
@@ -391,7 +392,7 @@ func TestRetentionCapEvictsOldestCompleted(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 
-	var last runStatus
+	var last api.RunStatus
 	for i := 0; i < 3; i++ {
 		last = submitAndWait(t, ts, micro)
 		if last.Status != "done" {
@@ -404,7 +405,7 @@ func TestRetentionCapEvictsOldestCompleted(t *testing.T) {
 		t.Fatalf("list: %d", code)
 	}
 	var list struct {
-		Campaigns []runStatus `json:"campaigns"`
+		Campaigns []api.RunStatus `json:"campaigns"`
 	}
 	if err := json.Unmarshal(data, &list); err != nil {
 		t.Fatal(err)
@@ -435,8 +436,8 @@ func TestCatalogListsAxes(t *testing.T) {
 		t.Fatalf("catalog: %d", code)
 	}
 	var cat struct {
-		Names     []string        `json:"names"`
-		Campaigns []campaign.Axes `json:"campaigns"`
+		Names     []string   `json:"names"`
+		Campaigns []api.Axes `json:"campaigns"`
 	}
 	if err := json.Unmarshal(data, &cat); err != nil {
 		t.Fatalf("catalog body: %v\n%s", err, data)
@@ -496,8 +497,8 @@ func TestCatalogExposesPolicyAxis(t *testing.T) {
 		t.Fatalf("catalog: %d", code)
 	}
 	var doc struct {
-		Policies  []string        `json:"policies"`
-		Campaigns []campaign.Axes `json:"campaigns"`
+		Policies  []string   `json:"policies"`
+		Campaigns []api.Axes `json:"campaigns"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("catalog body: %v\n%s", err, data)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 )
 
@@ -134,7 +135,7 @@ func TestEventsStreamsLive(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, data)
 	}
-	var st runStatus
+	var st api.RunStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestJournalFilesPersistAndEvict(t *testing.T) {
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 
-	var last runStatus
+	var last api.RunStatus
 	for i := 0; i < 3; i++ {
 		last = submitAndWait(t, ts, micro)
 		if last.Status != "done" {

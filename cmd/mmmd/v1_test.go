@@ -59,7 +59,7 @@ func TestV1ServesFullFlow(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("v1 submit: %d %s", code, data)
 	}
-	var st runStatus
+	var st api.RunStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +214,13 @@ func TestAdaptiveSubmitRunsToCompletion(t *testing.T) {
 }
 
 // submitV1AndWait mirrors submitAndWait over the versioned paths.
-func submitV1AndWait(t *testing.T, ts *httptest.Server, body string) runStatus {
+func submitV1AndWait(t *testing.T, ts *httptest.Server, body string) api.RunStatus {
 	t.Helper()
 	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("v1 submit: %d %s", code, data)
 	}
-	var st runStatus
+	var st api.RunStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,16 @@
 //	mmmtail -follow c1 -addr http://127.0.0.1:8077 -json
 //
 // Post-hoc, against a journal file: validate the journal's structural
-// invariants (monotonic sequence, exactly-once in-order merges) and
-// render the same attribution report from it.
+// invariants (monotonic sequence, exactly-once in-order merges), check
+// that every -required event type occurs, and render the same
+// attribution report from it.
 //
 //	mmmtail -report mmmd-cache/journals/c1.journal.jsonl
+//	mmmtail -report c1.journal.jsonl -required expanded,leased,started,completed,merged
 //
 // Exit status: 0 when the run completed, 1 when it failed or was
-// canceled (or the journal is invalid), 2 on usage or transport
-// errors.
+// canceled (or the journal is invalid or lacks a required event type),
+// 2 on usage or transport errors.
 package main
 
 import (
@@ -38,11 +40,12 @@ import (
 
 func main() {
 	var (
-		follow  = flag.String("follow", "", "campaign id to stream live from mmmd")
-		report  = flag.String("report", "", "journal file (JSONL) to validate and report on")
-		addr    = flag.String("addr", "http://127.0.0.1:8077", "mmmd base URL for -follow")
-		jsonOut = flag.Bool("json", false, "emit the attribution report as JSON instead of text")
-		quiet   = flag.Bool("quiet", false, "suppress per-event progress lines in -follow mode")
+		follow   = flag.String("follow", "", "campaign id to stream live from mmmd")
+		report   = flag.String("report", "", "journal file (JSONL) to validate and report on")
+		addr     = flag.String("addr", "http://127.0.0.1:8077", "mmmd base URL for -follow")
+		jsonOut  = flag.Bool("json", false, "emit the attribution report as JSON instead of text")
+		quiet    = flag.Bool("quiet", false, "suppress per-event progress lines in -follow mode")
+		required = flag.String("required", "", "with -report: comma-separated event types the journal must contain")
 	)
 	flag.Parse()
 
@@ -52,7 +55,7 @@ func main() {
 	case *follow != "":
 		os.Exit(followRun(*addr, *follow, *jsonOut, *quiet))
 	case *report != "":
-		os.Exit(reportFile(*report, *jsonOut))
+		os.Exit(reportFile(*report, *required, *jsonOut))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -112,8 +115,10 @@ func followRun(addr, id string, jsonOut, quiet bool) int {
 	return 0
 }
 
-// reportFile validates a journal file and renders its report.
-func reportFile(path string, jsonOut bool) int {
+// reportFile validates a journal file, checks that each event type of
+// the comma-separated required list occurs in it, and renders its
+// report.
+func reportFile(path, required string, jsonOut bool) int {
 	events, err := campaign.ReadJournalFile(path)
 	if err != nil {
 		fatal(2, "%v", err)
@@ -121,6 +126,18 @@ func reportFile(path string, jsonOut bool) int {
 	chk, err := campaign.ValidateEvents(events)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mmmtail: invalid journal %s: %v\n", path, err)
+		return 1
+	}
+	var missing []string
+	for _, name := range strings.Split(required, ",") {
+		name = strings.TrimSpace(name)
+		if name != "" && chk.Types[api.EventType(name)] == 0 {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) > 0 {
+		fmt.Fprintf(os.Stderr, "mmmtail: journal %s missing required event types: %s\n",
+			path, strings.Join(missing, ", "))
 		return 1
 	}
 	runID := ""

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -65,5 +67,27 @@ func TestParseSSEErrors(t *testing.T) {
 		func(campaign.Event) { n++ }, func() {})
 	if err != nil || n != 0 {
 		t.Fatalf("post-end parsing: err=%v events=%d", err, n)
+	}
+}
+
+// TestReportRequiredEventTypes: -report exits 0 on a complete journal
+// holding every required event type, and 1 when a listed type is
+// absent, even though the journal itself is valid and complete.
+func TestReportRequiredEventTypes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c1.journal.jsonl")
+	journal := `{"seq":1,"time":"2026-01-01T00:00:00Z","type":"expanded","run":"c1","cell":-1,"total":1}
+{"seq":2,"time":"2026-01-01T00:00:01Z","type":"leased","cell":0,"worker":"w1","attempt":1}
+{"seq":3,"time":"2026-01-01T00:00:01Z","type":"started","cell":0,"worker":"w1","attempt":1}
+{"seq":4,"time":"2026-01-01T00:00:02Z","type":"completed","cell":0,"worker":"w1","attempt":1,"wall_ms":1000}
+{"seq":5,"time":"2026-01-01T00:00:02Z","type":"merged","cell":0,"worker":"w1","wall_ms":1000,"job":{},"metrics":{}}
+`
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := reportFile(path, "expanded,leased,started,completed,merged", true); code != 0 {
+		t.Fatalf("complete journal with every required type: exit %d, want 0", code)
+	}
+	if code := reportFile(path, "expanded, reassigned", true); code != 1 {
+		t.Fatalf("journal without a required type: exit %d, want 1", code)
 	}
 }

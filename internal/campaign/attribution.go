@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/api"
+	"repro/internal/stats"
 )
 
 // Wall-clock attribution over a run journal: where did the campaign's
@@ -19,12 +20,7 @@ import (
 // The report types live in internal/api (GET /v1/campaigns/{id}
 // embeds the report and mmmtail renders it); Attribute — the journal
 // fold that computes them — stays here with the journal it reads.
-type (
-	WorkerReport = api.WorkerReport
-	GroupReport  = api.GroupReport
-	CellReport   = api.CellReport
-	Report       = api.Report
-)
+type Report = api.Report
 
 // maxStragglers bounds the slowest-cells list.
 const maxStragglers = 5
@@ -39,11 +35,11 @@ func Attribute(runID string, events []Event) Report {
 	}
 	rep.WallSeconds = events[len(events)-1].Time.Sub(events[0].Time).Seconds()
 
-	workers := map[string]*WorkerReport{}
-	workerOf := func(name string) *WorkerReport {
+	workers := map[string]*api.WorkerReport{}
+	workerOf := func(name string) *api.WorkerReport {
 		w := workers[name]
 		if w == nil {
-			w = &WorkerReport{Worker: name}
+			w = &api.WorkerReport{Worker: name}
 			workers[name] = w
 		}
 		return w
@@ -154,12 +150,12 @@ func Attribute(runID string, events []Event) Report {
 	for _, g := range gnames {
 		secs := groups[g]
 		sort.Float64s(secs)
-		rep.Groups = append(rep.Groups, GroupReport{
+		rep.Groups = append(rep.Groups, api.GroupReport{
 			Group: g,
 			Jobs:  len(secs),
-			P50:   percentile(secs, 50),
-			P95:   percentile(secs, 95),
-			P99:   percentile(secs, 99),
+			P50:   stats.PercentileSorted(secs, 50),
+			P95:   stats.PercentileSorted(secs, 95),
+			P99:   stats.PercentileSorted(secs, 99),
 			Max:   secs[len(secs)-1],
 		})
 	}
@@ -174,24 +170,8 @@ func Attribute(runID string, events []Event) Report {
 		simulated = simulated[:maxStragglers]
 	}
 	for _, c := range simulated {
-		rep.Stragglers = append(rep.Stragglers, CellReport{
+		rep.Stragglers = append(rep.Stragglers, api.CellReport{
 			Cell: c.cell, Key: c.key, Worker: c.worker, Seconds: c.seconds})
 	}
 	return rep
-}
-
-// percentile returns the nearest-rank p-th percentile of sorted
-// samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 )
 
@@ -358,7 +359,7 @@ func (b *board) idleFor(now time.Time) time.Duration {
 }
 
 func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
-	var lr leaseRequest
+	var lr api.LeaseRequest
 	if err := json.NewDecoder(req.Body).Decode(&lr); err != nil {
 		httpErrorJSON(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
@@ -385,7 +386,7 @@ func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	l := b.leaseLocked(lr.Worker, now)
-	writeJSONTo(w, http.StatusOK, leaseResponse{
+	writeJSONTo(w, http.StatusOK, api.LeaseResponse{
 		LeaseID:     l.id,
 		Job:         l.slot.job,
 		Scale:       b.plan.sc,
@@ -396,7 +397,7 @@ func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
 }
 
 func (b *board) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
-	var hr heartbeatRequest
+	var hr api.HeartbeatRequest
 	if err := json.NewDecoder(req.Body).Decode(&hr); err != nil {
 		httpErrorJSON(w, http.StatusBadRequest, "bad heartbeat: %v", err)
 		return
@@ -414,7 +415,7 @@ func (b *board) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 }
 
 func (b *board) handleComplete(w http.ResponseWriter, req *http.Request) {
-	var cr completeRequest
+	var cr api.CompleteRequest
 	if err := json.NewDecoder(req.Body).Decode(&cr); err != nil {
 		httpErrorJSON(w, http.StatusBadRequest, "bad completion: %v", err)
 		return
@@ -556,7 +557,7 @@ func (b *board) liveLeases() int {
 }
 
 func (b *board) writeGoneLocked(w http.ResponseWriter) {
-	writeJSONTo(w, http.StatusGone, boardStatus{
+	writeJSONTo(w, http.StatusGone, api.BoardStatus{
 		Done:  b.closed && b.err == nil,
 		Error: errString(b.err),
 	})

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 )
 
@@ -247,7 +248,7 @@ func TestCatalogAxes(t *testing.T) {
 	if len(cat) != len(Names()) {
 		t.Fatalf("catalog has %d entries, want %d", len(cat), len(Names()))
 	}
-	byName := map[string]Axes{}
+	byName := map[string]api.Axes{}
 	for _, ax := range cat {
 		byName[ax.Name] = ax
 	}

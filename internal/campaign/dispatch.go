@@ -206,7 +206,7 @@ func (d *Dispatcher) serve(ctx context.Context, b *board) {
 
 // attachWorker invites one worker to pull from the board.
 func attachWorker(ctx context.Context, workerURL, boardURL string) error {
-	body, err := json.Marshal(attachRequest{Coordinator: boardURL, Check: protocolCheck()})
+	body, err := json.Marshal(api.AttachRequest{Coordinator: boardURL, Check: protocolCheck()})
 	if err != nil {
 		return err
 	}

@@ -38,14 +38,11 @@ func isCanceled(err error) bool {
 // — ReplayResults is the crash post-mortem path and the
 // exactly-once-merge regression oracle.
 
-// EventType classifies one journal event; Event is one record. Both
+// Event is one journal record. It and its api.EventType vocabulary
 // live in internal/api (the SSE endpoint streams them verbatim and
 // mmmtail decodes them); the vocabulary is stable — JSONL journals
 // are read across builds.
-type (
-	EventType = api.EventType
-	Event     = api.Event
-)
+type Event = api.Event
 
 const (
 	EventExpanded        = api.EventExpanded
@@ -141,11 +138,9 @@ func (j *Journal) emitLocked(ev Event) {
 	j.wake = make(chan struct{})
 }
 
-// Begin records the run's expansion: the first event, carrying the
-// scale, the cell count and, for an adaptive run, its normalized
-// precision block (an adaptive run's wave count is not known up front
-// — that is the point).
-func (j *Journal) Begin(sc Scale, cells int, prec *Precision) {
+// emit appends evs in order, unless the journal is nil or finished —
+// the one guard every typed emitter below shares.
+func (j *Journal) emit(evs ...Event) {
 	if j == nil {
 		return
 	}
@@ -154,7 +149,20 @@ func (j *Journal) Begin(sc Scale, cells int, prec *Precision) {
 	if j.closed {
 		return
 	}
-	j.emitLocked(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
+	for _, ev := range evs {
+		j.emitLocked(ev)
+	}
+}
+
+// Begin records the run's expansion: the first event, carrying the
+// scale, the cell count and, for an adaptive run, its normalized
+// precision block (an adaptive run's wave count is not known up front
+// — that is the point).
+func (j *Journal) Begin(sc Scale, cells int, prec *Precision) {
+	if j == nil {
+		return // the event carries j.runID
+	}
+	j.emit(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
 		Total: cells, Scale: &sc, Precision: prec})
 }
 
@@ -162,62 +170,33 @@ func (j *Journal) Begin(sc Scale, cells int, prec *Precision) {
 // EventReassigned — the board is retrying a cell whose earlier attempt
 // failed or expired.
 func (j *Journal) Leased(cell int, job Job, worker string, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
+	ev := Event{Type: EventLeased, Cell: cell, Key: job.Key(),
+		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave}
 	if attempt > 1 {
-		j.emitLocked(Event{Type: EventReassigned, Cell: cell, Key: job.Key(),
-			Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
+		re := ev
+		re.Type = EventReassigned
+		j.emit(re, ev)
+		return
 	}
-	j.emitLocked(Event{Type: EventLeased, Cell: cell, Key: job.Key(),
-		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
+	j.emit(ev)
 }
 
 // Started records a cell's job beginning simulation.
 func (j *Journal) Started(cell int, job Job, worker string, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventStarted, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventStarted, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
 // HeartbeatMissed records a lease reaped after missed heartbeats.
 func (j *Journal) HeartbeatMissed(cell int, job Job, worker string, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventHeartbeatMissed, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventHeartbeatMissed, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
 // CellFailed records one failed attempt (the cell may be retried; a
 // terminal run failure is Finish's run-level EventFailed).
 func (j *Journal) CellFailed(cell int, job Job, worker string, attempt int, errMsg string) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventFailed, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventFailed, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Error: errMsg, Wave: job.Knobs.Wave})
 }
 
@@ -226,15 +205,7 @@ func (j *Journal) CellFailed(cell int, job Job, worker string, attempt int, errM
 // half-width going into the wave (1 before any trials ran — no data,
 // widest possible interval).
 func (j *Journal) WaveScheduled(cell int, job Job, half float64) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventWaveScheduled, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventWaveScheduled, Cell: cell, Key: job.Key(),
 		Wave: job.Knobs.Wave, Trials: job.Knobs.ReliaTrials, HalfWidth: half})
 }
 
@@ -242,15 +213,7 @@ func (j *Journal) WaveScheduled(cell int, job Job, half float64) {
 // trials total trials with final half-width half; capped marks a cell
 // that hit MaxTrials instead of its target.
 func (j *Journal) CellRetired(cell int, job Job, trials int, half float64, capped bool) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.emitLocked(Event{Type: EventCellRetired, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventCellRetired, Cell: cell, Key: job.Key(),
 		Trials: trials, HalfWidth: half, Capped: capped})
 }
 
@@ -258,20 +221,12 @@ func (j *Journal) CellRetired(cell int, job Job, trials int, half float64, cappe
 // cache hit, EventCompleted with the attempt's worker and wall time
 // otherwise. A fixed cell has one job, an adaptive cell one per wave.
 func (j *Journal) CellDone(cell int, job Job, hit bool, worker string, wall time.Duration, attempt int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
 	if hit {
-		j.emitLocked(Event{Type: EventCacheHit, Cell: cell, Key: job.Key(), Hit: true,
+		j.emit(Event{Type: EventCacheHit, Cell: cell, Key: job.Key(), Hit: true,
 			Wave: job.Knobs.Wave})
 		return
 	}
-	j.emitLocked(Event{Type: EventCompleted, Cell: cell, Key: job.Key(),
+	j.emit(Event{Type: EventCompleted, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(), Wave: job.Knobs.Wave})
 }
 
@@ -458,7 +413,7 @@ type JournalCheck struct {
 	Events   int
 	Total    int // cells declared by the expanded event
 	Merged   int
-	Types    map[EventType]int
+	Types    map[api.EventType]int
 	Complete bool // every cell merged
 	Outcome  string
 }
@@ -467,9 +422,9 @@ type JournalCheck struct {
 // numbers strictly increasing, the expanded event first, merged events
 // in strict expansion order with exactly one per cell and full
 // payloads, cell indices in range, and any terminal run-level event
-// last. This is the oracle behind obscheck -journal.
+// last. This is the oracle behind mmmtail -report.
 func ValidateEvents(events []Event) (JournalCheck, error) {
-	chk := JournalCheck{Types: make(map[EventType]int), Outcome: "running"}
+	chk := JournalCheck{Types: make(map[api.EventType]int), Outcome: "running"}
 	if len(events) == 0 {
 		return chk, fmt.Errorf("journal is empty")
 	}

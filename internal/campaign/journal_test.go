@@ -10,13 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
 // journalTypes tallies one run's events by type.
-func journalTypes(events []Event) map[EventType]int {
-	types := make(map[EventType]int)
+func journalTypes(events []Event) map[api.EventType]int {
+	types := make(map[api.EventType]int)
 	for i := range events {
 		types[events[i].Type]++
 	}
@@ -434,7 +436,7 @@ func TestAttributeReport(t *testing.T) {
 		t.Fatalf("workers: %+v", rep.Workers)
 	}
 	// w2 did the 8s straggler plus its share of 2s cells.
-	var w2 WorkerReport
+	var w2 api.WorkerReport
 	for _, w := range rep.Workers {
 		if w.Worker == "w2" {
 			w2 = w
@@ -485,6 +487,29 @@ func TestAttributeReport(t *testing.T) {
 	empty := Attribute("x", nil)
 	if empty.Outcome != "running" || empty.Cells != 0 {
 		t.Fatalf("empty attribution: %+v", empty)
+	}
+}
+
+// TestAttributeTailPercentiles: group percentiles are nearest-rank
+// (stats.PercentileSorted). Over 12 distinct job times the p95 rank is
+// ceil(0.95*12) = 12, the maximum; rounding the rank half-up instead
+// reported the 11th value and under-stated the tail.
+func TestAttributeTailPercentiles(t *testing.T) {
+	events := []Event{{Seq: 1, Type: EventExpanded, Cell: -1, Total: 12}}
+	for i := 0; i < 12; i++ {
+		events = append(events, Event{Seq: int64(i + 2), Type: EventMerged, Cell: i,
+			WallMS: int64(1000 * (i + 1)), Job: &Job{Workload: "apache", Kind: core.KindNoDMR}})
+	}
+	rep := Attribute("c1", events)
+	if len(rep.Groups) != 1 {
+		t.Fatalf("groups: %+v", rep.Groups)
+	}
+	g := rep.Groups[0]
+	if g.Jobs != 12 || g.Max != 12 || g.P50 != 6 {
+		t.Fatalf("group: %+v", g)
+	}
+	if g.P95 != g.Max || g.P99 != g.Max {
+		t.Fatalf("p95 %v / p99 %v, want the maximum %v", g.P95, g.P99, g.Max)
 	}
 }
 

@@ -19,13 +19,13 @@ import (
 //
 // Board endpoints (served by the coordinator, called by workers):
 //
-//	POST /lease     -> leaseResponse | 204 (nothing to hand out) | 410 (board over)
+//	POST /lease     -> api.LeaseResponse | 204 (nothing to hand out) | 410 (board over)
 //	POST /heartbeat -> 200 (extended) | 410 (lease revoked or board over)
 //	POST /complete  -> 200 | 410 (lease revoked; result discarded)
 //
 // Worker endpoints (served by mmmd -worker, called by coordinators):
 //
-//	POST /v1/attach -> attachResponse | 409 (incompatible build)
+//	POST /v1/attach -> api.AttachResponse | 409 (incompatible build)
 //	GET  /healthz, GET /status
 //
 // protoVersion gates the wire format; protocolCheck() additionally
@@ -43,7 +43,7 @@ const protoVersion = 2
 // protocolCheck is the compatibility token exchanged at attach and
 // lease time.
 func protocolCheck() string {
-	return fmt.Sprintf("p%d.s%d.%s", protoVersion, SpecVersion, sim.StreamCheck())
+	return fmt.Sprintf("p%d.s%d.%s", protoVersion, api.SpecVersion, sim.StreamCheck())
 }
 
 // explainCheckMismatch names WHICH component of two protocolCheck
@@ -77,19 +77,6 @@ func splitCheck(c string) (proto, spec, digest string, ok bool) {
 	}
 	return parts[0][1:], parts[1][1:], parts[2], true
 }
-
-// The wire bodies are the exported internal/api types; the aliases
-// keep the board/worker implementation reading naturally while the
-// api package owns the single definition every process serializes.
-type (
-	attachRequest    = api.AttachRequest
-	attachResponse   = api.AttachResponse
-	leaseRequest     = api.LeaseRequest
-	leaseResponse    = api.LeaseResponse
-	heartbeatRequest = api.HeartbeatRequest
-	completeRequest  = api.CompleteRequest
-	boardStatus      = api.BoardStatus
-)
 
 // NormalizeWorkerURL turns a -workers flag element (host:port or a
 // full URL) into a worker base URL.

@@ -294,16 +294,12 @@ func Names() []string {
 	return out
 }
 
-// Axes describes a registered campaign's sweep dimensions under its
-// default axes, so operators can discover what a campaign runs without
-// reading source (served by mmmd's catalog endpoint). The type lives
-// in internal/api — it crosses the wire in the catalog body.
-type Axes = api.Axes
-
 // Catalog expands every registered campaign under its default axes and
-// summarizes the distinct values of each dimension, in sorted order.
-func Catalog() []Axes {
-	var out []Axes
+// summarizes the distinct values of each dimension, in sorted order,
+// so operators can discover what a campaign runs without reading
+// source (served by mmmd's catalog endpoint).
+func Catalog() []api.Axes {
+	var out []api.Axes
 	for _, name := range Names() {
 		spec := builders[name](nil, nil)
 		jobs, err := spec.Expand()
@@ -311,10 +307,10 @@ func Catalog() []Axes {
 			// A registered campaign that cannot expand under defaults is
 			// a programming error; surface it as an empty entry rather
 			// than hiding the name.
-			out = append(out, Axes{Name: name})
+			out = append(out, api.Axes{Name: name})
 			continue
 		}
-		ax := Axes{Name: name, Jobs: len(jobs)}
+		ax := api.Axes{Name: name, Jobs: len(jobs)}
 		if spec.Precision != nil {
 			p := spec.Precision.Normalized()
 			ax.Precision = &p

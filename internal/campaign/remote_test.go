@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -406,13 +407,13 @@ func TestBoardLeaseProtocol(t *testing.T) {
 	b, ts := boardFixture(t, jobs, time.Minute, 2)
 
 	// Incompatible build: refused outright.
-	code, body := postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "bad", Check: "p0.s0.dead"})
+	code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "bad", Check: "p0.s0.dead"})
 	if code != http.StatusConflict {
 		t.Fatalf("incompatible lease: %d %s, want 409", code, body)
 	}
 
-	lease1 := leaseResponse{}
-	code, body = postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "w1", Check: protocolCheck()})
+	lease1 := api.LeaseResponse{}
+	code, body = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()})
 	if code != http.StatusOK {
 		t.Fatalf("lease: %d %s", code, body)
 	}
@@ -427,26 +428,26 @@ func TestBoardLeaseProtocol(t *testing.T) {
 	}
 
 	// In-flight cap: a third concurrent lease is denied.
-	if code, _ = postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "w1", Check: protocolCheck()}); code != http.StatusOK {
+	if code, _ = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()}); code != http.StatusOK {
 		t.Fatalf("second lease: %d", code)
 	}
-	if code, _ = postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "w1", Check: protocolCheck()}); code != http.StatusNoContent {
+	if code, _ = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()}); code != http.StatusNoContent {
 		t.Fatalf("lease beyond MaxInflight: %d, want 204", code)
 	}
 
 	// Heartbeat keeps a live lease; after close both heartbeat and
 	// complete get 410 and the late result is discarded.
-	if code, _ = postJSON(t, ts.URL+"/heartbeat", heartbeatRequest{LeaseID: lease1.LeaseID}); code != http.StatusOK {
+	if code, _ = postJSON(t, ts.URL+"/heartbeat", api.HeartbeatRequest{LeaseID: lease1.LeaseID}); code != http.StatusOK {
 		t.Fatalf("heartbeat: %d", code)
 	}
 	b.close(nil)
 	if got := b.liveLeases(); got != 0 {
 		t.Fatalf("%d orphaned leases after close, want 0", got)
 	}
-	if code, _ = postJSON(t, ts.URL+"/heartbeat", heartbeatRequest{LeaseID: lease1.LeaseID}); code != http.StatusGone {
+	if code, _ = postJSON(t, ts.URL+"/heartbeat", api.HeartbeatRequest{LeaseID: lease1.LeaseID}); code != http.StatusGone {
 		t.Fatalf("heartbeat after close: %d, want 410", code)
 	}
-	code, _ = postJSON(t, ts.URL+"/complete", completeRequest{
+	code, _ = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
 		LeaseID:     lease1.LeaseID,
 		Worker:      "w1",
 		Fingerprint: lease1.Fingerprint,
@@ -474,8 +475,8 @@ func TestBoardExpiryReassignsAndBacksOff(t *testing.T) {
 	jobs := determinismJobs(t)[:1]
 	b, ts := boardFixture(t, jobs, 50*time.Millisecond, 4)
 
-	var lr leaseResponse
-	code, body := postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "silent", Check: protocolCheck()})
+	var lr api.LeaseResponse
+	code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "silent", Check: protocolCheck()})
 	if code != http.StatusOK || json.Unmarshal(body, &lr) != nil {
 		t.Fatalf("lease: %d %s", code, body)
 	}
@@ -488,11 +489,11 @@ func TestBoardExpiryReassignsAndBacksOff(t *testing.T) {
 
 	// The silent worker is backing off; a healthy worker picks the
 	// requeued job up again.
-	if code, _ = postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "silent", Check: protocolCheck()}); code != http.StatusNoContent {
+	if code, _ = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "silent", Check: protocolCheck()}); code != http.StatusNoContent {
 		t.Fatalf("backed-off worker got a lease: %d, want 204", code)
 	}
-	var lr2 leaseResponse
-	code, body = postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "healthy", Check: protocolCheck()})
+	var lr2 api.LeaseResponse
+	code, body = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "healthy", Check: protocolCheck()})
 	if code != http.StatusOK || json.Unmarshal(body, &lr2) != nil {
 		t.Fatalf("reassigned lease: %d %s", code, body)
 	}
@@ -502,14 +503,14 @@ func TestBoardExpiryReassignsAndBacksOff(t *testing.T) {
 
 	// A late complete on the expired lease is rejected and the
 	// reassigned holder's result is the one that counts.
-	code, _ = postJSON(t, ts.URL+"/complete", completeRequest{
+	code, _ = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
 		LeaseID: lr.LeaseID, Worker: "silent", Fingerprint: lr.Fingerprint,
 		Metrics: &core.Metrics{},
 	})
 	if code != http.StatusGone {
 		t.Fatalf("late complete on expired lease: %d, want 410", code)
 	}
-	code, _ = postJSON(t, ts.URL+"/complete", completeRequest{
+	code, _ = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
 		LeaseID: lr2.LeaseID, Worker: "healthy", Fingerprint: lr2.Fingerprint,
 		Metrics: &core.Metrics{},
 	})
@@ -529,18 +530,18 @@ func TestBoardAttemptBudgetFailsCampaign(t *testing.T) {
 	b, ts := boardFixture(t, jobs, time.Minute, 4)
 
 	for i := 0; i < 3; i++ {
-		var lr leaseResponse
-		code, body := postJSON(t, ts.URL+"/lease", leaseRequest{Worker: "flaky", Check: protocolCheck()})
+		var lr api.LeaseResponse
+		code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "flaky", Check: protocolCheck()})
 		if code == http.StatusNoContent {
 			// The flaky worker is backing off between failures; lease from
 			// a fresh name — the job itself must still be retried.
 			code, body = postJSON(t, ts.URL+"/lease",
-				leaseRequest{Worker: fmt.Sprintf("fresh%d", i), Check: protocolCheck()})
+				api.LeaseRequest{Worker: fmt.Sprintf("fresh%d", i), Check: protocolCheck()})
 		}
 		if code != http.StatusOK || json.Unmarshal(body, &lr) != nil {
 			t.Fatalf("attempt %d lease: %d %s", i, code, body)
 		}
-		postJSON(t, ts.URL+"/complete", completeRequest{
+		postJSON(t, ts.URL+"/complete", api.CompleteRequest{
 			LeaseID: lr.LeaseID, Worker: lr.Job.Workload, Error: "sim exploded",
 		})
 	}
@@ -554,7 +555,7 @@ func TestBoardAttemptBudgetFailsCampaign(t *testing.T) {
 // fleet-wide determinism.
 func TestWorkerRefusesIncompatibleCoordinator(t *testing.T) {
 	w, ts := startWorker(t, "w1", 1, nil)
-	body, _ := json.Marshal(attachRequest{Coordinator: "http://127.0.0.1:1", Check: "p1.s1.beef"})
+	body, _ := json.Marshal(api.AttachRequest{Coordinator: "http://127.0.0.1:1", Check: "p1.s1.beef"})
 	resp, err := http.Post(ts.URL+"/v1/attach", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -573,7 +574,7 @@ func TestWorkerRefusesIncompatibleCoordinator(t *testing.T) {
 // instead of wedging it in "running" forever.
 func TestStallDetectionFailsDeadFleet(t *testing.T) {
 	zombie := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSONTo(w, http.StatusOK, attachResponse{Worker: "zombie", Capacity: 1})
+		writeJSONTo(w, http.StatusOK, api.AttachResponse{Worker: "zombie", Capacity: 1})
 	}))
 	t.Cleanup(zombie.Close)
 

@@ -29,10 +29,6 @@ type (
 	Precision = api.Precision
 )
 
-// SpecVersion is folded into every job fingerprint; see
-// api.SpecVersion for the generation history.
-const SpecVersion = api.SpecVersion
-
 // Variant names one point of a non-axis sweep dimension (e.g. the
 // serial-vs-parallel PAB lookup). The empty Variant{} is the default
 // configuration.

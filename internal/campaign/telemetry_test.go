@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -203,9 +204,9 @@ func TestExplainCheckMismatch(t *testing.T) {
 		theirs string
 		want   string
 	}{
-		{fmt.Sprintf("p%d.s%d.%s", protoVersion+1, SpecVersion, digest), "wire protocol version mismatch"},
-		{fmt.Sprintf("p%d.s%d.%s", protoVersion, SpecVersion+7, digest), "campaign SpecVersion mismatch"},
-		{fmt.Sprintf("p%d.s%d.%s", protoVersion, SpecVersion, "deadbeef"), "RNG stream digest mismatch"},
+		{fmt.Sprintf("p%d.s%d.%s", protoVersion+1, api.SpecVersion, digest), "wire protocol version mismatch"},
+		{fmt.Sprintf("p%d.s%d.%s", protoVersion, api.SpecVersion+7, digest), "campaign SpecVersion mismatch"},
+		{fmt.Sprintf("p%d.s%d.%s", protoVersion, api.SpecVersion, "deadbeef"), "RNG stream digest mismatch"},
 		{"garbage", "unrecognized check format"},
 		{ours, "spurious"},
 	}
@@ -217,7 +218,7 @@ func TestExplainCheckMismatch(t *testing.T) {
 	}
 	// Precedence: when several components differ, the outermost (wire
 	// protocol) is named — it gates everything behind it.
-	multi := fmt.Sprintf("p%d.s%d.%s", protoVersion+1, SpecVersion+1, "zzz")
+	multi := fmt.Sprintf("p%d.s%d.%s", protoVersion+1, api.SpecVersion+1, "zzz")
 	if got := explainCheckMismatch(ours, multi); !strings.Contains(got, "wire protocol version mismatch") {
 		t.Errorf("multi-component mismatch named %q, want wire protocol first", got)
 	}
@@ -228,7 +229,7 @@ func TestExplainCheckMismatch(t *testing.T) {
 func TestAttachRefusalNamesComponent(t *testing.T) {
 	w := NewWorker(WorkerOptions{Name: "wx", Capacity: 1})
 	t.Cleanup(w.Stop)
-	bad := fmt.Sprintf("p%d.s%d.%s", protoVersion, SpecVersion+1, sim.StreamCheck())
+	bad := fmt.Sprintf("p%d.s%d.%s", protoVersion, api.SpecVersion+1, sim.StreamCheck())
 	err := w.Attach("http://127.0.0.1:0", bad)
 	if err == nil {
 		t.Fatal("attach with mismatched check succeeded")

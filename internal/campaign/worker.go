@@ -158,7 +158,7 @@ func (w *Worker) Stats() WorkerStats {
 }
 
 func (w *Worker) handleAttach(rw http.ResponseWriter, req *http.Request) {
-	var ar attachRequest
+	var ar api.AttachRequest
 	if err := json.NewDecoder(req.Body).Decode(&ar); err != nil {
 		httpErrorJSON(rw, http.StatusBadRequest, "bad attach request: %v", err)
 		return
@@ -167,7 +167,7 @@ func (w *Worker) handleAttach(rw http.ResponseWriter, req *http.Request) {
 		httpErrorJSON(rw, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSONTo(rw, http.StatusOK, attachResponse{
+	writeJSONTo(rw, http.StatusOK, api.AttachResponse{
 		Worker:   w.opts.Name,
 		Capacity: w.opts.Capacity,
 		Check:    w.check,
@@ -282,9 +282,9 @@ const (
 // leaseAndRun performs one lease round trip and, when a job was
 // handed out, runs it to completion.
 func (w *Worker) leaseAndRun(ctx context.Context, boardURL string, scratch *cache.Recycler) (boardState, error) {
-	var lr leaseResponse
+	var lr api.LeaseResponse
 	code, err := w.post(ctx, boardURL+"/lease",
-		leaseRequest{Worker: w.opts.Name, Check: w.check}, &lr)
+		api.LeaseRequest{Worker: w.opts.Name, Check: w.check}, &lr)
 	if err != nil {
 		return boardIdle, err
 	}
@@ -301,7 +301,7 @@ func (w *Worker) leaseAndRun(ctx context.Context, boardURL string, scratch *cach
 	// Verify the coordinator's derivations before burning cycles: a
 	// seed or fingerprint skew means the builds disagree about what
 	// this job *is*, and the result must not enter any cache.
-	comp := completeRequest{LeaseID: lr.LeaseID, Worker: w.opts.Name, Fingerprint: lr.Fingerprint}
+	comp := api.CompleteRequest{LeaseID: lr.LeaseID, Worker: w.opts.Name, Fingerprint: lr.Fingerprint}
 	if got := lr.Job.SimSeed(); got != lr.SimSeed {
 		comp.Error = fmt.Sprintf("derived-seed mismatch: worker %d, coordinator %d", got, lr.SimSeed)
 	} else if got := lr.Job.Fingerprint(lr.Scale); got != lr.Fingerprint {
@@ -338,7 +338,7 @@ func (w *Worker) leaseAndRun(ctx context.Context, boardURL string, scratch *cach
 
 // runLeased simulates the leased job under a heartbeat. It returns
 // (nil, nil) when the lease was revoked mid-run.
-func (w *Worker) runLeased(ctx context.Context, boardURL string, lr leaseResponse, scratch *cache.Recycler) (*core.Metrics, error) {
+func (w *Worker) runLeased(ctx context.Context, boardURL string, lr api.LeaseResponse, scratch *cache.Recycler) (*core.Metrics, error) {
 	if w.opts.Cache != nil {
 		if m, ok := w.opts.Cache.Get(lr.Fingerprint); ok {
 			return &m, nil
@@ -370,7 +370,7 @@ func (w *Worker) runLeased(ctx context.Context, boardURL string, lr leaseRespons
 				return
 			case <-t.C:
 				code, err := w.post(ctx, boardURL+"/heartbeat",
-					heartbeatRequest{LeaseID: lr.LeaseID}, nil)
+					api.HeartbeatRequest{LeaseID: lr.LeaseID}, nil)
 				if err == nil && code == http.StatusGone {
 					revoked.Store(true)
 					return

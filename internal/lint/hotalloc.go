@@ -11,10 +11,10 @@ import (
 // nextEventAt, policyDecide, pairStatus). A make, a map or slice
 // literal, or an append whose result escapes its input slice inside one
 // of these functions runs millions of times per simulated second; the
-// benchgate regression catches the throughput loss after the fact, this
-// analyzer catches the allocation at compile time. Audited sites carry
-// //mmm:hotalloc-ok <reason> (e.g. a cold error path, or a buffer that
-// demonstrably reaches steady-state capacity).
+// `mmmgate bench` regression gate catches the throughput loss after the
+// fact, this analyzer catches the allocation at compile time. Audited
+// sites carry //mmm:hotalloc-ok <reason> (e.g. a cold error path, or a
+// buffer that demonstrably reaches steady-state capacity).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid make/map/escaping-append allocations inside functions " +

@@ -1,9 +1,9 @@
 // Package obs is the repository's telemetry layer: a dependency-free
-// metrics registry (counters, gauges, histograms with Prometheus text
-// exposition) and a bounded flight recorder for structured simulation
-// events (recorder.go). It sits below every other layer — obs imports
-// only internal/sim — so the chip core, the campaign engine and the
-// mmmd service can all feed it.
+// metrics registry (counters, histograms and scrape-time collectors
+// with Prometheus text exposition) and a bounded flight recorder for
+// structured simulation events (recorder.go). It sits below every
+// other layer — obs imports only internal/sim — so the chip core, the
+// campaign engine and the mmmd service can all feed it.
 //
 // The package's contract is zero cost when disabled: every instrument
 // and the recorder are nil-safe (methods on a nil receiver return
@@ -53,41 +53,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable float instrument. A nil *Gauge discards updates.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments the gauge by d (CAS loop; gauges are low-rate).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the gauge's value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // DefBuckets are the default histogram bucket upper bounds, in seconds
@@ -162,7 +127,6 @@ type CollectorFunc func(emit func(Sample))
 type series struct {
 	labels  string // rendered {k="v",...} or ""
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 }
 
@@ -254,20 +218,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return s.counter
 }
 
-// Gauge registers (or finds) a gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.lookup(name, help, "gauge", labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // Histogram registers (or finds) a histogram with the given bucket
 // upper bounds (nil uses DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
@@ -333,9 +283,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case s.counter != nil:
 				out.lines = append(out.lines, line{ls,
 					fmt.Sprintf("%s%s %d", name, ls, s.counter.Value())})
-			case s.gauge != nil:
-				out.lines = append(out.lines, line{ls,
-					fmt.Sprintf("%s%s %s", name, ls, fmtValue(s.gauge.Value()))})
 			case s.hist != nil:
 				h := s.hist
 				var cum uint64
@@ -428,8 +375,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			switch {
 			case s.counter != nil:
 				out[name+ls] = float64(s.counter.Value())
-			case s.gauge != nil:
-				out[name+ls] = s.gauge.Value()
 			case s.hist != nil:
 				out[name+"_count"+ls] = float64(s.hist.Count())
 				out[name+"_sum"+ls] = s.hist.Sum()

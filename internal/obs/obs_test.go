@@ -14,17 +14,14 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", "")
-	g := r.Gauge("y", "")
 	h := r.Histogram("z", "", nil)
-	if c != nil || g != nil || h != nil {
-		t.Fatalf("nil registry handed out non-nil instruments: %v %v %v", c, g, h)
+	if c != nil || h != nil {
+		t.Fatalf("nil registry handed out non-nil instruments: %v %v", c, h)
 	}
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(2)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments retained state")
 	}
 	r.RegisterCollector(func(emit func(Sample)) { t.Fatal("collector ran on nil registry") })
@@ -55,7 +52,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_total", "Jobs.", "kind", "mmm-ipc").Add(7)
 	r.Counter("jobs_total", "Jobs.", "kind", "reunion").Inc()
-	r.Gauge("depth", "Queue depth.").Set(3.5)
 	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -88,8 +84,8 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if f := fams["dyn"]; f == nil || f.Type != "gauge" || len(f.Series) != 1 {
 		t.Fatalf("collector family wrong: %+v", fams["dyn"])
 	}
-	if got := TotalSeries(fams); got != 10 {
-		t.Fatalf("TotalSeries = %d, want 10\n%s", got, text)
+	if got := TotalSeries(fams); got != 9 {
+		t.Fatalf("TotalSeries = %d, want 9\n%s", got, text)
 	}
 
 	// Cumulative bucket semantics: 0.05 and 0.5 land at or below le="1",
@@ -130,10 +126,10 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 		t.Fatalf("shared counter value = %d, want 2", b.Value())
 	}
 	// Label order must not matter: canonical rendering sorts keys.
-	g1 := r.Gauge("g", "h", "a", "1", "b", "2")
-	g2 := r.Gauge("g", "h", "b", "2", "a", "1")
-	if g1 != g2 {
-		t.Fatal("label order produced distinct gauges")
+	c1 := r.Counter("l", "h", "a", "1", "b", "2")
+	c2 := r.Counter("l", "h", "b", "2", "a", "1")
+	if c1 != c2 {
+		t.Fatal("label order produced distinct counters")
 	}
 }
 

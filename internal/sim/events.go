@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Cycle is a point in simulated time, measured in processor clock
 // cycles (the target chip runs at 3 GHz, so 3e6 cycles = 1 ms).
 type Cycle = uint64
@@ -10,66 +8,3 @@ type Cycle = uint64
 // than any reachable simulation cycle. Event-driven run loops compare
 // against it to skip consulting an inert source.
 const Never = ^Cycle(0)
-
-// Event is a callback scheduled to run at a particular cycle.
-type Event struct {
-	When Cycle
-	Fn   func(now Cycle)
-	seq  uint64 // tie-break so same-cycle events run in schedule order
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].When != h[j].When {
-		return h[i].When < h[j].When
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// EventQueue is a deterministic discrete event queue. Events scheduled
-// for the same cycle fire in the order they were scheduled.
-type EventQueue struct {
-	h   eventHeap
-	seq uint64
-}
-
-// NewEventQueue returns an empty queue.
-func NewEventQueue() *EventQueue { return &EventQueue{} }
-
-// Schedule registers fn to run at cycle when.
-func (q *EventQueue) Schedule(when Cycle, fn func(now Cycle)) {
-	q.seq++
-	heap.Push(&q.h, &Event{When: when, Fn: fn, seq: q.seq})
-}
-
-// Len reports the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-// NextCycle returns the cycle of the earliest pending event, or ok=false
-// if the queue is empty.
-func (q *EventQueue) NextCycle() (Cycle, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].When, true
-}
-
-// RunUntil fires, in order, every event scheduled at or before cycle now.
-func (q *EventQueue) RunUntil(now Cycle) {
-	for len(q.h) > 0 && q.h[0].When <= now {
-		e := heap.Pop(&q.h).(*Event)
-		e.Fn(e.When)
-	}
-}

@@ -1,7 +1,7 @@
 // Package sim provides the simulation kernel shared by every other
 // module in this repository: the cycle clock, a deterministic
-// pseudo-random number generator, a discrete event queue, and the chip
-// configuration corresponding to the target multicore of the paper
+// pseudo-random number generator, and the chip configuration
+// corresponding to the target multicore of the paper
 // (Wells, Chakraborty, Sohi, "Mixed-Mode Multicore Reliability",
 // ASPLOS 2009, Section 4.1).
 package sim

@@ -98,26 +98,6 @@ func TestGeometricMinimum(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	q := NewEventQueue()
-	var got []int
-	q.Schedule(30, func(Cycle) { got = append(got, 3) })
-	q.Schedule(10, func(Cycle) { got = append(got, 1) })
-	q.Schedule(20, func(Cycle) { got = append(got, 2) })
-	q.Schedule(10, func(Cycle) { got = append(got, 11) }) // same cycle: FIFO
-	q.RunUntil(25)
-	if len(got) != 3 || got[0] != 1 || got[1] != 11 || got[2] != 2 {
-		t.Fatalf("wrong event order: %v", got)
-	}
-	if next, ok := q.NextCycle(); !ok || next != 30 {
-		t.Fatalf("expected event pending at 30, got %v %v", next, ok)
-	}
-	q.RunUntil(100)
-	if q.Len() != 0 {
-		t.Fatalf("queue should be empty")
-	}
-}
-
 func TestDefaultConfigValid(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.Validate(); err != nil {
@@ -153,13 +133,13 @@ func TestConfigValidation(t *testing.T) {
 // distributed campaign protocol exchanges at attach time. If this
 // test fails, the generator or DeriveSeed changed semantics: that is
 // allowed, but it invalidates every cached campaign result — bump
-// campaign.SpecVersion in the same change, then update the constant
+// api.SpecVersion in the same change, then update the constant
 // here. (The protocol token already folds SpecVersion in, so a
 // correctly-bumped build pairs only with its own kind.)
 func TestStreamCheckPinned(t *testing.T) {
 	const pinned = "0c8267d67d3fbdce"
 	if got := StreamCheck(); got != pinned {
-		t.Fatalf("StreamCheck() = %q, want %q — RNG stream semantics changed; bump campaign.SpecVersion and repin", got, pinned)
+		t.Fatalf("StreamCheck() = %q, want %q — RNG stream semantics changed; bump api.SpecVersion and repin", got, pinned)
 	}
 	if StreamCheck() != StreamCheck() {
 		t.Fatal("StreamCheck not stable across calls")
