@@ -37,7 +37,7 @@ type expResult struct {
 	Rows       int     `json:"rows"`
 	WallMS     float64 `json:"wall_ms"`
 	// Trials counts the Monte Carlo trial slices the reliability study
-	// simulated — the quantity -adaptive exists to shrink; 0 for
+	// simulated — the quantity -halfwidth exists to shrink; 0 for
 	// experiments without a trial axis.
 	Trials int `json:"trials,omitempty"`
 }
@@ -54,9 +54,8 @@ func main() {
 		wls       = flag.String("workloads", "", "comma-separated workload subset (empty = all six)")
 		par       = flag.Int("parallel", 0, "override worker parallelism")
 		cacheDir  = flag.String("cache", "", "campaign result cache directory (empty = no cache)")
-		adaptive  = flag.Bool("adaptive", false, "run -exp relia with sequential stopping: trials in waves until each cell's 95% interval is within -halfwidth")
-		hw        = flag.Float64("halfwidth", 0, "adaptive target half-width on coverage (implies -adaptive; default 0.05)")
-		fixTrials = flag.Int("trials", 0, "override -exp relia fixed trials per cell (sizes a fixed-batch run to an adaptive run's worst-case budget; ignored with -adaptive)")
+		hw        = flag.Float64("halfwidth", 0, "run -exp relia with sequential stopping: trials in waves until each cell's 95% interval on coverage is within this half-width (e.g. 0.05)")
+		fixTrials = flag.Int("trials", 0, "override -exp relia fixed trials per cell (sizes a fixed-batch run to an adaptive run's worst-case budget; ignored with -halfwidth)")
 		workers   = flag.String("workers", "", "comma-separated mmmd worker fleet (host:port,...); shards campaign jobs remotely")
 		coord     = flag.String("coordinator", "", "job-board bind address for -workers (host[:port]); set a host the workers can reach for cross-host fleets (default loopback, single-machine only)")
 		jsonOut   = flag.String("json", "", "write per-experiment results as JSON to this file (- for stdout)")
@@ -146,12 +145,8 @@ func main() {
 			cfg.Policies = append(cfg.Policies, p)
 		}
 	}
-	if *adaptive || *hw > 0 {
-		p := campaign.Precision{HalfWidth: *hw}
-		if p.HalfWidth == 0 {
-			p.HalfWidth = 0.05
-		}
-		cfg.Precision = &p
+	if *hw > 0 {
+		cfg.Precision = &campaign.Precision{HalfWidth: *hw}
 	}
 	cfg.ReliaTrials = *fixTrials
 	if *cacheDir != "" {

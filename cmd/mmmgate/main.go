@@ -4,15 +4,19 @@
 //	mmmgate bench  -baseline BENCH_hotpath.json -bench bench.txt -out bench-fresh.json
 //	mmmgate relia  -fixed fixed.txt -adaptive adaptive.txt
 //	mmmgate scrape -in metrics.txt -min-series 12 -required mmmd_uptime_seconds,mmmd_campaign_runs
+//	mmmgate lint   ./...
 //
 // bench gates BenchmarkHotPath cycles/sec against the latest
 // BENCH_hotpath.json entry (and, with -update, appends a new entry);
 // relia gates an adaptive reliability run's trial savings and interval
 // agreement against a fixed-batch run; scrape validates a Prometheus
-// text exposition. Run journals are checked by `mmmtail -report`.
+// text exposition; lint runs the determinism-invariant analyzers of
+// internal/lint over the packages and their _test.go files. Run
+// journals are checked by `mmmtail -report`.
 //
 // Exit status: 0 when the check passes, 1 when it fails, 2 on a usage
-// or input error.
+// or input error (for lint, also a package that does not load or a
+// pattern that matches none).
 package main
 
 import (
@@ -25,11 +29,12 @@ var subcommands = map[string]func(args []string){
 	"bench":  benchMain,
 	"relia":  reliaMain,
 	"scrape": scrapeMain,
+	"lint":   lintMain,
 }
 
 func main() {
 	if len(os.Args) < 2 || subcommands[os.Args[1]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: mmmgate bench|relia|scrape [flags]  (mmmgate <subcommand> -h lists its flags)")
+		fmt.Fprintln(os.Stderr, "usage: mmmgate bench|relia|scrape|lint [flags]  (mmmgate <subcommand> -h lists its flags)")
 		os.Exit(2)
 	}
 	subcommands[os.Args[1]](os.Args[2:])

@@ -47,7 +47,7 @@ type Scale struct {
 // evaluation sweeps over. Unlike a closure, a Knobs value is part of a
 // job's identity: it canonicalizes into the cache fingerprint, so two
 // jobs differing only in a knob never collide. The annotation below is
-// enforced by mmmlint's knobcover analyzer: every field added here
+// enforced by the knobcover analyzer: every field added here
 // must be folded into Fingerprint/Key/SimSeed (with a SpecVersion
 // bump) or carry an explicit //mmm:knobcover-exempt reason, so a knob
 // outside the fingerprint — the silent cache-poisoning failure mode —

@@ -25,22 +25,12 @@ type DispatchOptions struct {
 	// order with running totals.
 	OnProgress func(done, total, hits int)
 	// Addr is the coordinator's listen address for the per-campaign
-	// job board; default "127.0.0.1:0" (an ephemeral port).
+	// job board; default "127.0.0.1:0" (an ephemeral port). Workers
+	// are handed the listener's own address as the board URL.
 	Addr string
-	// Advertise overrides the board URL handed to workers, for fleets
-	// where the coordinator's listen address is not the address
-	// workers can reach (NAT, containers). Default: the listener's
-	// own address.
-	Advertise string
 	// LeaseTTL bounds how long a worker may go silent before its
 	// leases are revoked and reassigned; default 15s.
 	LeaseTTL time.Duration
-	// MaxInflight bounds outstanding leases across the fleet; default
-	// 4 per worker.
-	MaxInflight int
-	// MaxAttempts bounds how often one job may fail (error or lease
-	// expiry) before the campaign fails; default 3.
-	MaxAttempts int
 	// StallTimeout fails the campaign when no worker has contacted
 	// the board at all for this long — the whole fleet died or lost
 	// the network, and waiting further cannot make progress. Default
@@ -56,6 +46,14 @@ type DispatchOptions struct {
 	// and merges — mirroring Options.Journal for distributed runs.
 	Journal *Journal
 }
+
+// leasesPerWorker bounds the outstanding leases across the fleet, per
+// worker; fleetAttempts bounds how often one job may fail (error or
+// lease expiry) before the campaign fails.
+const (
+	leasesPerWorker = 4
+	fleetAttempts   = 3
+)
 
 // Dispatcher is the remote Runner: it serves a campaign's board to a
 // fleet of mmmd workers over HTTP and merges the completions — in
@@ -76,15 +74,6 @@ func NewDispatcher(opts DispatchOptions) *Dispatcher {
 	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 15 * time.Second
-	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 4 * len(opts.Workers)
-		if opts.MaxInflight < 1 {
-			opts.MaxInflight = 1
-		}
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
 	}
 	if opts.StallTimeout <= 0 {
 		opts.StallTimeout = 2 * time.Minute
@@ -129,8 +118,8 @@ func (d *Dispatcher) runPlan(ctx context.Context, p *plan) (*ResultSet, *board, 
 		fleet:       d.opts.Obs,
 		onProgress:  d.opts.OnProgress,
 		ttl:         d.opts.LeaseTTL,
-		maxInflight: d.opts.MaxInflight,
-		maxAttempts: d.opts.MaxAttempts,
+		maxInflight: leasesPerWorker * len(d.opts.Workers),
+		maxAttempts: fleetAttempts,
 	})
 	if !b.isClosed() {
 		d.serve(ctx, b)
@@ -152,10 +141,7 @@ func (d *Dispatcher) serve(ctx context.Context, b *board) {
 	go func() { _ = srv.Serve(ln) }() // Serve returns once Close tears the listener down
 	defer srv.Close()
 
-	boardURL := d.opts.Advertise
-	if boardURL == "" {
-		boardURL = "http://" + ln.Addr().String()
-	}
+	boardURL := "http://" + ln.Addr().String()
 	attached := 0
 	var lastErr error
 	for _, w := range d.opts.Workers {
@@ -216,7 +202,7 @@ func attachWorker(ctx context.Context, workerURL, boardURL string) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := attachClient.Do(req)
+	resp, err := fleetClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("campaign: attach %s: %w", workerURL, err)
 	}
@@ -231,6 +217,7 @@ func attachWorker(ctx context.Context, workerURL, boardURL string) error {
 	return nil
 }
 
-// attachClient bounds how long a dead worker can stall campaign
-// startup.
-var attachClient = &http.Client{Timeout: 10 * time.Second}
+// fleetClient carries every fleet HTTP call. Its timeout bounds how
+// long a dead worker can stall campaign startup, and how long a dead
+// board can hold a worker's lease, heartbeat or completion call.
+var fleetClient = &http.Client{Timeout: 10 * time.Second}

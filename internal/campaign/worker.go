@@ -29,9 +29,6 @@ type WorkerOptions struct {
 	Cache Cache
 	// Poll is the idle lease-poll interval; default 250ms.
 	Poll time.Duration
-	// Client performs the worker's HTTP calls; default a client with
-	// a 10s timeout.
-	Client *http.Client
 	// OnJobTime, when non-nil, is called with each simulated leased
 	// job's wall time (local cache hits excluded). It runs on pull
 	// goroutines and must be concurrency-safe.
@@ -82,9 +79,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 250 * time.Millisecond
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Worker{
@@ -410,7 +404,7 @@ func (w *Worker) post(ctx context.Context, url string, in, out any) (int, error)
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.opts.Client.Do(req)
+	resp, err := fleetClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

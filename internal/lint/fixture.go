@@ -66,7 +66,7 @@ func LoadFixture(dir, pkgPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, info, errs := check(pkgPath, fset, files, exportImporter(fset, exports))
+	pkg, info, errs := check(pkgPath, fset, files, exportImporter(fset, exports, nil))
 	if len(errs) > 0 {
 		msgs := make([]string, 0, len(errs))
 		for _, e := range errs {

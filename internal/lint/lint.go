@@ -5,7 +5,9 @@
 // dependency-free reimplementation of the golang.org/x/tools
 // go/analysis driver shape (Analyzer / Pass / Diagnostic) built on
 // go/ast + go/types only, because the analyzers need full type
-// information but the repository takes no module dependencies.
+// information but the repository takes no module dependencies. Load is
+// its one driver: it checks each package together with its _test.go
+// files, and `mmmgate lint` runs it from the command line.
 //
 // The analyzers:
 //
@@ -69,33 +71,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{DetClock, MapOrder, NilSafe, KnobCover, HotAlloc}
-}
-
-// ByName resolves a comma-separated analyzer selection ("" = all).
-func ByName(sel string) ([]*Analyzer, error) {
-	if sel == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(sel, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q (have detclock, maporder, nilsafe, knobcover, hotalloc)", name)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: empty analyzer selection %q", sel)
-	}
-	return out, nil
 }
 
 // DeterminismBoundary names the internal packages whose code must be a

@@ -1,10 +1,9 @@
 package lint_test
 
 import (
-	"bytes"
-	"encoding/json"
+	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/lint"
@@ -77,9 +76,10 @@ func TestHotAllocFixture(t *testing.T) {
 	}
 }
 
-// TestRepoTreeIsClean pins the acceptance criterion: mmmlint over the
-// whole repository exits clean. Any new finding must be fixed or
-// carry an audited suppression in the same change.
+// TestRepoTreeIsClean pins the acceptance criterion: `mmmgate lint`
+// over the whole repository, _test.go files included, exits clean. Any
+// new finding must be fixed or carry an audited suppression in the
+// same change.
 func TestRepoTreeIsClean(t *testing.T) {
 	pkgs, err := lint.Load("../..", "./...")
 	if err != nil {
@@ -97,56 +97,93 @@ func TestRepoTreeIsClean(t *testing.T) {
 	}
 }
 
-// TestByName: analyzer selection by comma list, and rejection of
-// unknown names.
-func TestByName(t *testing.T) {
-	all, err := lint.ByName("")
-	if err != nil || len(all) != 5 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
-	}
-	two, err := lint.ByName("detclock, maporder")
-	if err != nil || len(two) != 2 {
-		t.Fatalf("ByName(detclock, maporder) = %d analyzers, err %v; want 2, nil", len(two), err)
-	}
-	if _, err := lint.ByName("detclock,nope"); err == nil {
-		t.Fatal("ByName accepted unknown analyzer \"nope\"")
-	}
-}
-
-// TestWriteJSON: the machine-readable output is a JSON array, [] when
-// clean (never null), with the documented field names.
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := lint.WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Errorf("empty findings encode as %q, want []", got)
-	}
-
-	buf.Reset()
-	in := []lint.Finding{{File: "a.go", Line: 3, Col: 7, Analyzer: "detclock", Message: "m"}}
-	if err := lint.WriteJSON(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(out) != 1 {
-		t.Fatalf("decoded %d findings, want 1", len(out))
-	}
-	for _, key := range []string{"file", "line", "col", "analyzer", "message"} {
-		if _, ok := out[0][key]; !ok {
-			t.Errorf("JSON finding lacks %q field: %s", key, buf.String())
-		}
-	}
-}
-
 // TestFindingString pins the conventional rendering used by CI logs.
 func TestFindingString(t *testing.T) {
 	f := lint.Finding{File: "x/y.go", Line: 12, Col: 4, Analyzer: "maporder", Message: "oops"}
 	if got, want := f.String(), "x/y.go:12:4: maporder: oops"; got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
+	}
+}
+
+// TestLoadCoversTestFiles pins the driver's contract: a package is
+// analyzed together with its _test.go files, each source file once,
+// also report.go, which the test binary recompiles; an external test
+// package that uses a test-only helper type-checks against the test
+// variant; and a pattern matching no package is an error rather than
+// a clean run.
+func TestLoadCoversTestFiles(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module example.com/probe\n\ngo 1.22\n",
+		"internal/core/core.go": `package core
+
+// Cycles is a pure function of its input.
+func Cycles(n int) int { return 2 * n }
+`,
+		"internal/core/core_test.go": `package core
+
+import "time"
+
+// Stamp is a test-only helper the external test package uses.
+func Stamp() int64 { return time.Now().UnixNano() }
+`,
+		"internal/report/report.go": `package report
+
+import "example.com/probe/internal/core"
+
+// Doubled reports core's cycle count.
+func Doubled(n int) int { return core.Cycles(n) }
+`,
+		"internal/core/ext_test.go": `package core_test
+
+import (
+	"testing"
+
+	"example.com/probe/internal/core"
+	"example.com/probe/internal/report"
+)
+
+func TestCycles(t *testing.T) {
+	if report.Doubled(2) != 4 || core.Stamp() == 0 {
+		t.Fatal("core")
+	}
+}
+`,
+		"docs/README": "no Go files here\n",
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pkgs, err := lint.Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("loading probe module: %v", err)
+	}
+	loaded := map[string]int{}
+	for _, p := range pkgs {
+		for _, f := range p.GoFiles {
+			loaded[filepath.Base(f)]++
+		}
+	}
+	want := map[string]int{"core.go": 1, "core_test.go": 1, "ext_test.go": 1, "report.go": 1}
+	if !reflect.DeepEqual(loaded, want) {
+		t.Errorf("files loaded = %v, want each source file once: %v", loaded, want)
+	}
+	findings, err := lint.RunAnalyzers(pkgs, lint.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Analyzer != "detclock" ||
+		filepath.Base(findings[0].File) != "core_test.go" {
+		t.Errorf("findings = %v, want one detclock finding in core_test.go", findings)
+	}
+
+	if _, err := lint.Load(dir, "./docs/..."); err == nil {
+		t.Error("a pattern matching no package loaded cleanly")
 	}
 }

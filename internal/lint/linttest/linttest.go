@@ -1,4 +1,4 @@
-// Package linttest is the fixture harness for the mmmlint analyzer
+// Package linttest is the fixture harness for the lint analyzer
 // suite: the repo-local analogue of golang.org/x/tools/go/analysis/
 // analysistest. A fixture is a directory of .go files under
 // internal/lint/testdata, type-checked under a caller-chosen import

@@ -40,35 +40,56 @@ type listedPackage struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
+	ImportMap  map[string]string
+	ForTest    string
 	DepOnly    bool
 	Standard   bool
 	Error      *struct{ Err string }
 }
 
 // Load resolves patterns (e.g. "./...") in dir with the go tool and
-// type-checks every matched package from source. Imports — stdlib and
-// intra-module alike — are satisfied from the compiler export data
-// that `go list -export` places in the build cache, so loading needs
-// no network and no dependencies beyond the toolchain. Only non-test
-// files are analyzed: the determinism contract binds shipped code,
-// and _test.go files legitimately use wall clock for deadlines.
+// type-checks every matched package, _test.go files included, from
+// source. A package with in-package tests is analyzed as its test
+// variant "p [p.test]", which holds all of p's files, and an external
+// test package p_test as a package of its own; the generated test main
+// "p.test" and dependencies recompiled for a test binary ("q [p.test]")
+// are skipped. The " [p.test]" suffix is stripped, so analyzers see
+// plain import paths. Imports — stdlib and intra-module alike — are
+// satisfied from the compiler export data that `go list -export` places
+// in the build cache, resolved through each package's ImportMap, so
+// loading needs no network and no dependencies beyond the toolchain.
+// Patterns that leave no package to analyze are an error.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(dir, patterns)
+	listed, err := goList(dir, append([]string{"-test"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
 
 	exports := make(map[string]string, len(listed))
-	var roots []*listedPackage
-	var broken []string
+	hasVariant := map[string]bool{} // p -> "p [p.test]" was listed
+	testMain := map[string]bool{}   // "p.test" -> generated test main
 	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if p.DepOnly || p.Standard {
+		if p.ForTest != "" {
+			testMain[p.ForTest+".test"] = true
+			if plainPath(p.ImportPath) == p.ForTest {
+				hasVariant[p.ForTest] = true
+			}
+		}
+	}
+	var roots []*listedPackage
+	var broken []string
+	for _, p := range listed {
+		// Skip dependencies (a test binary's recompiled "q [p.test]" is
+		// one too), the plain p whose test variant was listed, and the
+		// generated test main "p.test".
+		path := plainPath(p.ImportPath)
+		if p.DepOnly || p.Standard || p.ForTest == "" && (hasVariant[path] || testMain[path]) {
 			continue
 		}
 		if p.Error != nil {
@@ -90,10 +111,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(broken) > 0 {
 		return nil, fmt.Errorf("lint: cannot load:\n  %s", strings.Join(broken, "\n  "))
 	}
+	if len(roots) == 0 {
+		return nil, fmt.Errorf("lint: no package to analyze matches %s", strings.Join(patterns, " "))
+	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].ImportPath < roots[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	var typeErrs []string
 	for _, p := range roots {
@@ -108,14 +131,18 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			files = append(files, f)
 			names = append(names, path)
 		}
-		pkg, info, errs := check(p.ImportPath, fset, files, imp)
+		// Each package gets its own importer: a test binary's
+		// ImportMap points an import path at a recompiled variant, and
+		// the importer caches packages by path.
+		path := plainPath(p.ImportPath)
+		pkg, info, errs := check(path, fset, files, exportImporter(fset, exports, p.ImportMap))
 		if len(errs) > 0 {
 			for _, e := range errs {
 				typeErrs = append(typeErrs, e.Error())
 			}
 			continue
 		}
-		pkgs = append(pkgs, newPackage(p.ImportPath, names, fset, files, pkg, info))
+		pkgs = append(pkgs, newPackage(path, names, fset, files, pkg, info))
 	}
 	if len(typeErrs) > 0 {
 		if len(typeErrs) > 10 {
@@ -124,6 +151,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, fmt.Errorf("lint: type errors:\n  %s", strings.Join(typeErrs, "\n  "))
 	}
 	return pkgs, nil
+}
+
+// plainPath strips the " [p.test]" suffix go list gives the packages
+// of a test binary.
+func plainPath(importPath string) string {
+	path, _, _ := strings.Cut(importPath, " [")
+	return path
 }
 
 // newPackage assembles a Package and its directive index.
@@ -169,9 +203,13 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// exportImporter satisfies imports from compiler export data files.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+// exportImporter satisfies imports from compiler export data files,
+// first mapping each import path through importMap (nil for none).
+func exportImporter(fset *token.FileSet, exports, importMap map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
+		}
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -180,13 +218,13 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
-// goList runs `go list -e -export -deps -json` over the patterns.
-func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := []string{
+// goList runs `go list -e -export -deps -json` with the further
+// flags and patterns in args.
+func goList(dir string, args []string) ([]*listedPackage, error) {
+	args = append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=Dir,ImportPath,Name,Export,GoFiles,CgoFiles,DepOnly,Standard,Error",
-	}
-	args = append(args, patterns...)
+		"-json=Dir,ImportPath,Name,Export,GoFiles,CgoFiles,ImportMap,ForTest,DepOnly,Standard,Error",
+	}, args...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -9,15 +8,14 @@ import (
 	"strings"
 )
 
-// A Finding is one positioned diagnostic in reporting form: the
-// machine-readable unit of `mmmlint -json` output and of the CI
-// annotation step.
+// A Finding is one positioned diagnostic in reporting form, as
+// `mmmgate lint` prints it.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the conventional file:line:col: analyzer: message
@@ -101,17 +99,6 @@ func Relativize(dir string, fs []Finding) {
 			fs[i].File = filepath.ToSlash(rel)
 		}
 	}
-}
-
-// WriteJSON emits findings as a JSON array (never null: an empty run
-// encodes as []).
-func WriteJSON(w io.Writer, fs []Finding) error {
-	if fs == nil {
-		fs = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(fs)
 }
 
 // WriteText emits findings one per line in file:line:col form.
