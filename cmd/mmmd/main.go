@@ -144,11 +144,11 @@ func runWorker(ctx context.Context, addr, name string, capacity int, cache campa
 	if name == "" {
 		name = addr
 	}
-	// jobSeconds and traces are bound after the worker exists (the
-	// registry's collector snapshots the worker's counters); Observe on
-	// a nil histogram is a no-op, so the indirection is safe.
+	// The instruments are bound after the worker exists (the registry's
+	// collector snapshots the worker's counters); a nil histogram or
+	// counter discards updates, so the indirection is safe.
 	var jobSeconds *obs.Histogram
-	var traces *traceCounters
+	var traceEvents, traceDropped *obs.Counter
 	w := campaign.NewWorker(campaign.WorkerOptions{
 		Name:       name,
 		Capacity:   capacity,
@@ -156,10 +156,13 @@ func runWorker(ctx context.Context, addr, name string, capacity int, cache campa
 		OnJobTime:  func(d time.Duration) { jobSeconds.Observe(d.Seconds()) },
 		TraceDir:   traceDir,
 		TraceMatch: traceMatch,
-		OnTrace:    func(total, dropped uint64) { traces.add(total, dropped) },
+		OnTrace: func(total, dropped uint64) {
+			traceEvents.Add(total)
+			traceDropped.Add(dropped)
+		},
 	})
-	reg, js, tc := workerRegistry(w, time.Now())
-	jobSeconds, traces = js, tc
+	var reg *obs.Registry
+	reg, jobSeconds, traceEvents, traceDropped = workerRegistry(w, time.Now())
 
 	// Worker nodes expose the same observability surface as the
 	// coordinator: /metrics always, pprof only behind -debug. The

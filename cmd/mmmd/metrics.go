@@ -13,7 +13,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -34,6 +33,7 @@ func (s *server) initMetrics() {
 	s.fleetObs = campaign.NewFleetObs(r)
 	s.jobSeconds = r.Histogram("mmmd_job_seconds",
 		"Wall time of locally simulated campaign jobs (cache hits excluded).", nil)
+	s.traceEvents, s.traceDropped = traceCounters(r, "local")
 	r.RegisterCollector(func(emit func(obs.Sample)) {
 		emit(obs.Sample{Name: "mmmd_uptime_seconds",
 			Help: "Seconds since the service started.", Type: "gauge",
@@ -87,12 +87,6 @@ func (s *server) initMetrics() {
 		emit(obs.Sample{Name: "mmmd_journal_bytes",
 			Help: "On-disk bytes across retained run journals.", Type: "gauge",
 			Value: float64(journalBytes(s.journalDir))})
-		emit(obs.Sample{Name: "mmmd_trace_events_total",
-			Help: "Flight-recorder events captured by traced local jobs.", Type: "counter",
-			Value: float64(s.traceEvents.Load())})
-		emit(obs.Sample{Name: "mmmd_trace_events_dropped_total",
-			Help: "Flight-recorder events dropped by the ring buffer (traced local jobs).", Type: "counter",
-			Value: float64(s.traceDropped.Load())})
 	})
 }
 
@@ -119,28 +113,25 @@ func journalBytes(dir string) int64 {
 	return total
 }
 
-// traceCounters accumulates flight-recorder volume across traced
-// jobs, for the worker-mode /metrics exposition.
-type traceCounters struct {
-	events, dropped atomic.Uint64
-}
-
-func (t *traceCounters) add(total, dropped uint64) {
-	if t == nil {
-		return
-	}
-	t.events.Add(total)
-	t.dropped.Add(dropped)
+// traceCounters registers the flight-recorder volume counters that
+// traced jobs' OnTrace callbacks feed; jobs names the jobs in the help
+// text.
+func traceCounters(r *obs.Registry, jobs string) (events, dropped *obs.Counter) {
+	events = r.Counter("mmmd_trace_events_total",
+		"Flight-recorder events captured by traced "+jobs+" jobs.")
+	dropped = r.Counter("mmmd_trace_events_dropped_total",
+		"Flight-recorder events dropped by the ring buffer (traced "+jobs+" jobs).")
+	return events, dropped
 }
 
 // workerRegistry builds the -worker mode registry: the worker's pull
 // counters plus the shared job-latency histogram fed via OnJobTime and
 // the flight-recorder volume counters fed via OnTrace.
-func workerRegistry(w *campaign.Worker, started time.Time) (*obs.Registry, *obs.Histogram, *traceCounters) {
-	r := obs.NewRegistry()
-	jobSeconds := r.Histogram("mmmd_job_seconds",
+func workerRegistry(w *campaign.Worker, started time.Time) (r *obs.Registry, jobSeconds *obs.Histogram, traceEvents, traceDropped *obs.Counter) {
+	r = obs.NewRegistry()
+	jobSeconds = r.Histogram("mmmd_job_seconds",
 		"Wall time of leased jobs this worker simulated (local cache hits excluded).", nil)
-	tc := &traceCounters{}
+	traceEvents, traceDropped = traceCounters(r, "leased")
 	r.RegisterCollector(func(emit func(obs.Sample)) {
 		st := w.Stats()
 		emit(obs.Sample{Name: "mmmd_uptime_seconds",
@@ -164,14 +155,8 @@ func workerRegistry(w *campaign.Worker, started time.Time) (*obs.Registry, *obs.
 		emit(obs.Sample{Name: "mmmd_worker_leases_lost_total",
 			Help: "Leases revoked or expired under this worker.", Type: "counter",
 			Value: float64(st.LeasesLost)})
-		emit(obs.Sample{Name: "mmmd_trace_events_total",
-			Help: "Flight-recorder events captured by traced leased jobs.", Type: "counter",
-			Value: float64(tc.events.Load())})
-		emit(obs.Sample{Name: "mmmd_trace_events_dropped_total",
-			Help: "Flight-recorder events dropped by the ring buffer (traced leased jobs).", Type: "counter",
-			Value: float64(tc.dropped.Load())})
 	})
-	return r, jobSeconds, tc
+	return r, jobSeconds, traceEvents, traceDropped
 }
 
 // metricsHandler serves a registry as Prometheus text exposition.

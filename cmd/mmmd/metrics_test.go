@@ -167,9 +167,10 @@ func TestServiceStatusIncludesRuns(t *testing.T) {
 func TestWorkerRegistryExposition(t *testing.T) {
 	w := campaign.NewWorker(campaign.WorkerOptions{Name: "wx", Capacity: 3})
 	t.Cleanup(w.Stop)
-	reg, jobSeconds, traces := workerRegistry(w, time.Now())
+	reg, jobSeconds, traceEvents, traceDropped := workerRegistry(w, time.Now())
 	jobSeconds.Observe(0.25)
-	traces.add(100, 7)
+	traceEvents.Add(100)
+	traceDropped.Add(7)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

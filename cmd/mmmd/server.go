@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -101,8 +100,8 @@ type server struct {
 	jobSeconds *obs.Histogram
 
 	// Flight-recorder volume counters, fed by engine OnTrace callbacks.
-	traceEvents  atomic.Uint64
-	traceDropped atomic.Uint64
+	traceEvents  *obs.Counter
+	traceDropped *obs.Counter
 
 	mu      sync.Mutex
 	seq     int

@@ -116,15 +116,6 @@ type Chip struct {
 	policy         mode.Policy
 	polNextAt      sim.Cycle
 	polWantsFaults bool
-	// Compiled decision schedule (see compilePolicy): when the policy's
-	// timer behavior compiles to a mode.Program, timer decisions replay
-	// it through these fields instead of calling Decide — polActive /
-	// polRotAt mirror the rotor, polFrom the duty phase.
-	polCompiled    bool
-	polProg        mode.Program
-	polActive      int
-	polRotAt       sim.Cycle
-	polFrom        sim.Cycle
 	curAsg         []mode.Assignment
 	polStatus      []mode.PairStatus
 	polLastCommits []uint64
@@ -182,9 +173,9 @@ type Chip struct {
 }
 
 // newChip builds the hardware: cores, pairs, hierarchy, protection.
-func newChip(cfg *sim.Config, kind Kind, rec *cache.Recycler) *Chip {
+func newChip(cfg *sim.Config, kind Kind, rec *cache.Recycler) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
 	c := &Chip{
 		Cfg:       cfg,
@@ -228,7 +219,7 @@ func newChip(cfg *sim.Config, kind Kind, rec *cache.Recycler) *Chip {
 		c.attrGuest[i] = -1
 	}
 	c.installFaultHooks()
-	return c
+	return c, nil
 }
 
 // Tick advances the whole chip by one cycle: scheduler, in-flight mode
@@ -241,11 +232,7 @@ func newChip(cfg *sim.Config, kind Kind, rec *cache.Recycler) *Chip {
 func (c *Chip) Tick() {
 	now := c.Now
 	if c.policy != nil && now >= c.polNextAt {
-		if c.polCompiled {
-			c.policyDecideCompiled(now)
-		} else {
-			c.policyDecide(mode.Event{Kind: mode.EvTimer, Pair: -1, Cycle: now})
-		}
+		c.policyDecide(mode.Event{Kind: mode.EvTimer, Pair: -1, Cycle: now})
 	}
 	if c.transCount > 0 {
 		for p := range c.trans {

@@ -325,6 +325,11 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewSystem(Options{Kind: Kind(99), Workload: wl}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+	odd := sim.DefaultConfig()
+	odd.Cores = 3
+	if _, err := NewSystem(Options{Cfg: odd, Kind: KindNoDMR, Workload: wl}); err == nil {
+		t.Fatal("invalid config accepted")
+	}
 }
 
 func TestMetricsHelpers(t *testing.T) {

@@ -9,12 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// fastPathKinds is every evaluated system configuration.
-var fastPathKinds = []Kind{
-	KindNoDMR2X, KindNoDMR, KindReunion, KindDMRBase,
-	KindMMMIPC, KindMMMTP, KindSingleOS,
-}
-
 // buildCell constructs one benchmark cell deterministically.
 func buildCell(t *testing.T, kind Kind, plan *fault.Plan) *Chip {
 	t.Helper()
@@ -38,7 +32,7 @@ func buildCell(t *testing.T, kind Kind, plan *fault.Plan) *Chip {
 // event the bulk loop skips or double-runs shows up as a counter diff.
 func TestRunMatchesTickPerCycle(t *testing.T) {
 	const warmup, measure = 30_000, 60_000
-	for _, kind := range fastPathKinds {
+	for _, kind := range AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			fast := buildCell(t, kind, nil)
 			mFast := fast.Measure(warmup, measure)
@@ -65,11 +59,9 @@ func TestRunMatchesTickPerCycle(t *testing.T) {
 // every mode policy, with fault injection active so the
 // fault-escalation path (policy decisions fired from inside a core's
 // Tick, mid-bulk-step) is exercised, and on SingleOS so policy timers
-// race the trap hooks' transitions (the transDirty path). "static" and
-// the duty-cycle variants run through the compiled decision schedule
-// (policyDecideCompiled), so the devirtualized fast path is equivalence-
-// checked under fault injection too; the parameterized duty-cycle's
-// short period lands boundaries between, on and across gang rotations.
+// race the trap hooks' transitions (the transDirty path). The
+// parameterized duty-cycle's short period lands boundaries between, on
+// and across gang rotations.
 func TestRunMatchesTickDynamicPolicies(t *testing.T) {
 	const warmup, measure = 30_000, 90_000
 	for _, kind := range []Kind{KindReunion, KindMMMIPC, KindMMMTP, KindSingleOS} {
@@ -111,72 +103,6 @@ func TestRunMatchesTickDynamicPolicies(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestCompiledPolicyMatchesGeneric pins the devirtualized decision
-// schedule (policyDecideCompiled) to the generic Decide path it
-// replaces: the same cell measured with the compiled path armed and
-// with it force-disabled must produce identical Metrics. Covers the
-// three specialization shapes — single-group static (zero decision
-// points), multi-group static (precomputed rotation), duty-cycle
-// (precompiled on/off timeline) — each with and without fault
-// injection racing the schedule.
-func TestCompiledPolicyMatchesGeneric(t *testing.T) {
-	const warmup, measure = 30_000, 90_000
-	inject := &fault.Plan{MeanInterval: 3_000, Seed: 5}
-	cases := []struct {
-		name       string
-		kind       Kind
-		policy     string
-		plan       *fault.Plan
-		wantGroups int
-	}{
-		{"static-single-group", KindReunion, "static", nil, 1},
-		{"static-multi-group", KindDMRBase, "static", nil, 2},
-		{"static-fault-injected", KindDMRBase, "static", inject, 2},
-		{"duty-single-group", KindReunion, "duty-cycle", nil, 1},
-		{"duty-multi-group", KindMMMIPC, "duty-cycle", nil, 2},
-		{"duty-fault-injected", KindMMMIPC, "duty-cycle:9000:40", inject, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			build := func() *Chip {
-				wl, err := workload.ByName("apache")
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := sim.DefaultConfig()
-				cfg.TimesliceCycles = 15_000
-				chip, err := NewSystem(Options{
-					Cfg: cfg, Kind: tc.kind, Workload: wl, Seed: 11,
-					Policy: tc.policy, FaultPlan: tc.plan,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return chip
-			}
-			comp := build()
-			if !comp.polCompiled {
-				t.Fatal("policy did not compile; the fast path under test is disarmed")
-			}
-			if got := len(comp.groups); got != tc.wantGroups {
-				t.Fatalf("cell built %d roster groups, want %d (case mislabeled)", got, tc.wantGroups)
-			}
-			if tc.wantGroups == 1 && tc.policy == "static" && comp.polNextAt != sim.Never {
-				t.Errorf("single-group static armed a decision point at %d, want none (sim.Never)", comp.polNextAt)
-			}
-			mComp := comp.Measure(warmup, measure)
-
-			gen := build()
-			gen.polCompiled = false // force the generic Decide path
-			mGen := gen.Measure(warmup, measure)
-
-			if !reflect.DeepEqual(mComp, mGen) {
-				t.Errorf("compiled schedule diverged from generic Decide:\ncompiled: %+v\ngeneric:  %+v", mComp, mGen)
-			}
-		})
 	}
 }
 

@@ -52,108 +52,7 @@ func (c *Chip) installPolicy(name string) error {
 		c.applyPlan(pi, c.planFor(init[pi], pi), false)
 	}
 	c.polNextAt = pol.NextEventAt()
-	c.compilePolicy(pol)
 	return nil
-}
-
-// compilePolicy arms the devirtualized decision path when the policy's
-// timer behavior compiles to a mode.Program (static, duty-cycle): timer
-// decisions then replay the schedule inline — no Decide call, no
-// pairStatus refresh, no per-decision allocations. Single-group static
-// programs compile to no decision points at all (polNextAt stays
-// sim.Never). The compiled rotor/duty state mirrors the freshly Reset
-// policy exactly; policies that want fault events never compile, so
-// policyFault always reaches the generic path.
-func (c *Chip) compilePolicy(pol mode.Policy) {
-	c.polCompiled = false
-	sp, ok := pol.(mode.Scheduled)
-	if !ok || pol.WantsFaults() {
-		return
-	}
-	prog, ok := sp.Compile(mode.Topology{
-		Pairs:     len(c.Pairs),
-		Groups:    len(c.groups),
-		Timeslice: c.Cfg.TimesliceCycles,
-	})
-	if !ok {
-		return
-	}
-	c.polProg = prog
-	c.polCompiled = true
-	c.polActive = 0
-	if prog.Groups <= 1 {
-		c.polRotAt = sim.Never
-	} else {
-		c.polRotAt = prog.Slice
-	}
-	c.polFrom = 1 // cycle 0's duty window was applied by Reset
-}
-
-// policyDecideCompiled is the devirtualized timer decision: it replays
-// the compiled schedule — gang rotation, then the duty-phase override —
-// and applies the uniform assignment through the same per-pair logic as
-// the generic path, emitting identical flight-recorder events. The
-// golden-row and Run-vs-Tick regressions pin it to policyDecide
-// cycle-for-cycle.
-//
-//mmm:hotpath
-func (c *Chip) policyDecideCompiled(now sim.Cycle) {
-	prog := &c.polProg
-	rotated := false
-	if prog.Groups > 1 && now >= c.polRotAt {
-		// rotor.due: re-arm relative to the decision cycle, not the
-		// nominal boundary (pre-policy semantics).
-		c.polActive = (c.polActive + 1) % prog.Groups
-		c.polRotAt = now + prog.Slice
-		rotated = true
-	}
-	a := mode.Assignment{Group: c.polActive}
-	fire := rotated
-	if prog.Period != 0 {
-		a.Override = mode.OverrideDecouple
-		if now%prog.Period < prog.Window {
-			a.Override = mode.OverrideCouple
-		}
-		c.polFrom = now + 1
-		fire = true // every duty boundary decides, rotated or not
-	}
-	c.polNextAt = c.compiledNextAt()
-	if !fire {
-		return
-	}
-	started := false
-	for pi := range c.curAsg {
-		if c.applyDecision(pi, a, "timer", now) {
-			started = true
-		}
-	}
-	if started {
-		c.groupSwitches++
-	}
-}
-
-// compiledNextAt recomputes the compiled schedule's timer horizon: the
-// earlier of the next gang rotation and the next duty-phase boundary at
-// or after polFrom (mirroring dutyCycle.nextBoundary).
-func (c *Chip) compiledNextAt() sim.Cycle {
-	at := c.polRotAt
-	if c.polProg.Period == 0 {
-		return at
-	}
-	var b sim.Cycle
-	pos := c.polFrom % c.polProg.Period
-	switch {
-	case pos == 0:
-		b = c.polFrom
-	case pos <= c.polProg.Window:
-		b = c.polFrom - pos + c.polProg.Window
-	default:
-		b = c.polFrom - pos + c.polProg.Period
-	}
-	if b < at {
-		return b
-	}
-	return at
 }
 
 // planFor maps a policy assignment onto a concrete pair plan: the
@@ -201,69 +100,57 @@ func (c *Chip) policyDecide(ev mode.Event) {
 	}
 	started := false
 	evKind := ev.Kind.String()
-	for pi := range asg {
-		if c.applyDecision(pi, asg[pi], evKind, ev.Cycle) {
-			started = true
+	for pi, a := range asg {
+		if c.trans[pi] != nil {
+			// Switching already; the policy may re-issue later. The
+			// flight recorder notes the dropped decision so retries can
+			// be distinguished when they finally land.
+			if c.rec != nil && a != c.curAsg[pi] {
+				c.rec.Emit(obs.Event{
+					Kind: obs.KindDecision, Cycle: ev.Cycle,
+					Pair: pi, Core: -1,
+					Cause: evKind + "/dropped",
+					Arg:   int64(a.Group),
+				})
+				c.polRetry[pi] = true
+			}
+			continue
 		}
+		pl := c.planFor(a, pi)
+		c.curAsg[pi] = a
+		if pl == c.curPlan[pi] {
+			continue // inapplicable override or unchanged group
+		}
+		cause := evKind
+		if a.Override != mode.OverrideNone {
+			cause += "/" + a.Override.String()
+		}
+		if c.rec != nil {
+			verdict := "/taken"
+			if c.polRetry[pi] {
+				verdict = "/retried"
+				c.polRetry[pi] = false
+			}
+			c.rec.Emit(obs.Event{
+				Kind: obs.KindDecision, Cycle: ev.Cycle,
+				Pair: pi, Core: -1,
+				Cause: evKind + verdict,
+				Arg:   int64(a.Group),
+			})
+			if a.Override != mode.OverrideNone {
+				c.rec.Emit(obs.Event{
+					Kind: obs.KindOverride, Cycle: ev.Cycle,
+					Pair: pi, Core: -1,
+					Cause: a.Override.String(),
+				})
+			}
+		}
+		c.startTransition(pi, pl, false, ev.Cycle, cause)
+		started = true
 	}
 	if started && ev.Kind == mode.EvTimer {
 		c.groupSwitches++
 	}
-}
-
-// applyDecision applies one pair's decided assignment — the shared tail
-// of the generic and compiled decision paths. Pairs with a transition
-// in flight are skipped — exactly as the pre-policy gang switch skipped
-// them — and keep their previous target assignment, so a policy that
-// must win re-issues the decision at its next event. It reports whether
-// a transition started.
-func (c *Chip) applyDecision(pi int, a mode.Assignment, evKind string, now sim.Cycle) bool {
-	if c.trans[pi] != nil {
-		// Switching already; the policy may re-issue later. The flight
-		// recorder notes the dropped decision so retries can be
-		// distinguished when they finally land.
-		if c.rec != nil && a != c.curAsg[pi] {
-			c.rec.Emit(obs.Event{
-				Kind: obs.KindDecision, Cycle: now,
-				Pair: pi, Core: -1,
-				Cause: evKind + "/dropped",
-				Arg:   int64(a.Group),
-			})
-			c.polRetry[pi] = true
-		}
-		return false
-	}
-	pl := c.planFor(a, pi)
-	c.curAsg[pi] = a
-	if pl == c.curPlan[pi] {
-		return false // inapplicable override or unchanged group
-	}
-	cause := evKind
-	if a.Override != mode.OverrideNone {
-		cause += "/" + a.Override.String()
-	}
-	if c.rec != nil {
-		verdict := "/taken"
-		if c.polRetry[pi] {
-			verdict = "/retried"
-			c.polRetry[pi] = false
-		}
-		c.rec.Emit(obs.Event{
-			Kind: obs.KindDecision, Cycle: now,
-			Pair: pi, Core: -1,
-			Cause: evKind + verdict,
-			Arg:   int64(a.Group),
-		})
-		if a.Override != mode.OverrideNone {
-			c.rec.Emit(obs.Event{
-				Kind: obs.KindOverride, Cycle: now,
-				Pair: pi, Core: -1,
-				Cause: a.Override.String(),
-			})
-		}
-	}
-	c.startTransition(pi, pl, false, now, cause)
-	return true
 }
 
 // policyFault forwards one protection event to a fault-sensitive

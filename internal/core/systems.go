@@ -65,7 +65,10 @@ func NewSystem(opts Options) (*Chip, error) {
 	if opts.Workload == nil {
 		return nil, fmt.Errorf("core: no workload given")
 	}
-	c := newChip(cfg, opts.Kind, opts.Recycler)
+	c, err := newChip(cfg, opts.Kind, opts.Recycler)
+	if err != nil {
+		return nil, err
+	}
 	c.rec = opts.Recorder
 	pairs := cfg.Cores / 2
 	b := sched.NewBuilder(cfg, c.PM, 4*cfg.Cores)

@@ -98,7 +98,7 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 	}
 	// And across every system kind with a dynamic policy, since each
 	// kind wires different hooks.
-	for _, kind := range fastPathKinds {
+	for _, kind := range AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			build := func(rec *obs.Recorder) *Chip {
 				wl, err := workload.ByName("apache")

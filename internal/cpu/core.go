@@ -17,32 +17,34 @@ import (
 )
 
 // Source supplies the dynamic instruction stream of the software thread
-// scheduled on a core. Peek must return the same instruction that the
-// following Next will consume.
+// scheduled on a core. Fetch reads the head of the stream with Peek,
+// which must not advance it, and takes the instruction with Consume,
+// which advances past exactly the instruction Peek returned.
 type Source interface {
 	Peek() isa.Inst
-	Next() isa.Inst
-}
-
-// consumer is an optional Source extension: Consume advances the stream
-// cursor past the instruction the preceding Peek returned, without
-// copying it back out. Fetch always Peeks before consuming, so a source
-// that implements it (trace.SideSource) saves one multi-word struct
-// copy per fetched instruction on the hot path.
-type consumer interface {
 	Consume()
 }
 
 // Gate couples the two cores of a DMR pair at the Check stage. The core
 // reports every completed instruction (Complete) and asks permission to
 // commit (CommitReady); the gate implementation (package reunion)
-// compares fingerprints and squashes both cores on a mismatch.
+// compares fingerprints and squashes both cores on a mismatch. A core
+// sleeps through Check-stage waits instead of polling CommitReady every
+// cycle: CheckSleep classifies the wait, and CreditWait replays the
+// per-poll counters the slept cycles would have incremented.
 type Gate interface {
 	Complete(side int, seq uint64, done sim.Cycle, fp uint64)
 	CommitReady(side int, seq uint64, now sim.Cycle) (at sim.Cycle, ok bool)
+	// CheckSleep classifies the wait for seq without the counter side
+	// effects of CommitReady. A CheckWaitPartner return registers the
+	// core for a wake call when the partner completes seq.
+	CheckSleep(side int, seq uint64) (at sim.Cycle, state int)
+	// CreditWait replays the per-poll Check-stage counters for n slept
+	// cycles of a CheckWaitRelease wait.
+	CreditWait(n uint64)
 }
 
-// Check-stage sleep states reported by a gateSleeper's CheckSleep.
+// Check-stage sleep states reported by a Gate's CheckSleep.
 const (
 	// CheckNoSleep: the wait's outcome cannot be predicted (or a
 	// mismatch is pending); the core must keep polling CommitReady.
@@ -56,18 +58,6 @@ const (
 	// owing the gate one per-poll counter credit per slept cycle.
 	CheckWaitRelease
 )
-
-// gateSleeper is an optional Gate extension that lets a core sleep
-// through Check-stage waits instead of polling CommitReady every cycle.
-type gateSleeper interface {
-	// CheckSleep classifies the wait for seq without the counter side
-	// effects of CommitReady. A CheckWaitPartner return registers the
-	// core for a wake call when the partner completes seq.
-	CheckSleep(side int, seq uint64) (at sim.Cycle, state int)
-	// CreditWait replays the per-poll Check-stage counters for n slept
-	// cycles of a CheckWaitRelease wait.
-	CreditWait(n uint64)
-}
 
 // StoreGuard re-validates the permission of performance-mode stores
 // before they reach the L2 — the Protection Assistance Buffer. It
@@ -109,9 +99,6 @@ type Core struct {
 	Space *paging.Space
 
 	src Source
-	// srcConsume is src's optional Consume fast path (nil when the
-	// source does not implement it), resolved once at SetSource.
-	srcConsume consumer
 
 	// Mode. A coherent core participates in the MOSI protocol; a mute
 	// core (Coherent=false) uses the incoherent best-effort path. The
@@ -169,7 +156,7 @@ type Core struct {
 	sleepCW    uint64 // per-cycle CheckWaitCycles while asleep (0/1)
 	// sleepCredit marks a CheckWaitRelease sleep: each slept cycle also
 	// owes the gate one CommitReady poll's counter increments, settled
-	// in bulk (sleepOwed → gateSleeper.CreditWait) when the sleep ends.
+	// in bulk (sleepOwed → Gate.CreditWait) when the sleep ends.
 	sleepCredit bool
 	sleepOwed   uint64
 
@@ -232,7 +219,6 @@ func (c *Core) SetSource(src Source) {
 		panic("cpu: SetSource with non-empty window")
 	}
 	c.src = src
-	c.srcConsume, _ = src.(consumer)
 	c.curFetchLine = ^uint64(0)
 	c.hasPeek = false
 	c.wake()
@@ -364,12 +350,7 @@ func (c *Core) Squash(now sim.Cycle, fromSeq uint64) {
 // increments the replay would have.
 func (c *Core) wake() {
 	c.sleepUntil = 0
-	if c.sleepOwed != 0 {
-		if gs, ok := c.gate.(gateSleeper); ok {
-			gs.CreditWait(c.sleepOwed)
-		}
-		c.sleepOwed = 0
-	}
+	c.SettleCheckDebt()
 }
 
 // WakeCheck ends a Check-stage sleep early: the gate calls it when the
@@ -381,9 +362,7 @@ func (c *Core) WakeCheck() { c.wake() }
 // collection, measurement reset) observes settled gate counters.
 func (c *Core) SettleCheckDebt() {
 	if c.sleepOwed != 0 {
-		if gs, ok := c.gate.(gateSleeper); ok {
-			gs.CreditWait(c.sleepOwed)
-		}
+		c.gate.CreditWait(c.sleepOwed)
 		c.sleepOwed = 0
 	}
 }
@@ -470,11 +449,7 @@ func (c *Core) armSleep(now sim.Cycle) {
 	case c.gate != nil:
 		// Check stage. The gate classifies the wait without CommitReady's
 		// per-poll counter effects; the replay reproduces them.
-		gs, ok := c.gate.(gateSleeper)
-		if !ok {
-			return
-		}
-		at, state := gs.CheckSleep(c.side, e.inst.Seq)
+		at, state := c.gate.CheckSleep(c.side, e.inst.Seq)
 		switch state {
 		case CheckWaitPartner:
 			cw = 1
@@ -961,11 +936,7 @@ func (c *Core) fetch(now sim.Cycle) {
 		if in.Class == isa.TrapEnter {
 			c.suppressTrapHook = false
 		}
-		if c.srcConsume != nil {
-			c.srcConsume.Consume()
-		} else {
-			c.src.Next()
-		}
+		c.src.Consume()
 		c.hasPeek = false
 		c.insert(in, now)
 	}

@@ -41,11 +41,7 @@ func (s *scriptSource) at(i int) isa.Inst {
 }
 
 func (s *scriptSource) Peek() isa.Inst { return s.at(s.pos) }
-func (s *scriptSource) Next() isa.Inst {
-	in := s.at(s.pos)
-	s.pos++
-	return in
-}
+func (s *scriptSource) Consume()       { s.pos++ }
 
 func testRig(t testing.TB, cores int) (*sim.Config, *cache.Hierarchy, *paging.Space) {
 	cfg := sim.DefaultConfig()

@@ -177,12 +177,6 @@ func (p *dutyCycle) Decide(ev Event, pairs []PairStatus) []Assignment {
 	return asg
 }
 
-// Compile implements Scheduled: the gang rotation composed with the
-// duty phase — both pure functions of the clock.
-func (p *dutyCycle) Compile(t Topology) (Program, bool) {
-	return Program{Groups: t.Groups, Slice: t.Timeslice, Period: p.period, Window: p.window}, true
-}
-
 // faultEsc is the fault-escalation policy: a pair runs decoupled (as
 // its roster built it) until a protection mechanism fires on it — a
 // machine check from persistent fingerprint divergence, or a PAB

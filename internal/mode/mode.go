@@ -178,31 +178,3 @@ type Policy interface {
 	// pay no policy overhead.
 	WantsFaults() bool
 }
-
-// Program is a compiled decision schedule: the complete, deterministic
-// timer behavior of a status-oblivious policy, reduced to four numbers
-// the chip can evaluate inline. A program describes a gang rotation
-// (Groups taking turns in Slice-cycle timeslices; Groups <= 1 means no
-// rotation ever fires) optionally composed with a duty cycle (the first
-// Window cycles of every Period force OverrideCouple, the rest force
-// OverrideDecouple; Period 0 means no duty phase and OverrideNone
-// throughout). The chip's compiled fast path replays the schedule
-// without calling Decide, devirtualizing the policy out of the hot
-// loop; the golden-row and Run-vs-Tick regressions pin the replay to
-// the generic path cycle-for-cycle.
-type Program struct {
-	Groups int
-	Slice  sim.Cycle
-	Period sim.Cycle
-	Window sim.Cycle
-}
-
-// Scheduled is implemented by policies whose entire decision sequence
-// is a precompilable function of the clock — no dependence on pair
-// status or protection events. Compile reports ok=false when the
-// policy's current parameterization cannot be expressed as a Program,
-// in which case the chip falls back to the generic Decide path.
-type Scheduled interface {
-	Policy
-	Compile(t Topology) (Program, bool)
-}

@@ -28,23 +28,32 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// parameterizedForms are policy specs with parameter suffixes and the
+// canonical names they parse to.
+var parameterizedForms = []struct {
+	spec, want string
+}{
+	{"duty-cycle:80000:50", "duty-cycle:80000:50"},
+	{"duty-cycle:60000:25", "duty-cycle"}, // the defaults elide
+	// A period not divisible by 100 must echo the parsed percent, not a
+	// floor-recomputed one (25 -> 24 -> 23 would split one
+	// configuration across several cache cells).
+	{"duty-cycle:12345:25", "duty-cycle:12345:25"},
+	{"fault-escalation:99000", "fault-escalation:99000"},
+	{"fault-escalation:150000", "fault-escalation"},
+}
+
+// malformedSpecs are policy specs Parse must reject.
+var malformedSpecs = []string{
+	"nope", "static:1", "duty-cycle:0", "duty-cycle:x", "duty-cycle:60000:0",
+	"duty-cycle:60000:100", "duty-cycle:1:1:1", "fault-escalation:0", "utilization:5",
+}
+
 // TestParseParameterizedForms: parameter suffixes round-trip through
 // the canonical name, defaults elide, and malformed forms are
 // rejected with the valid-name list.
 func TestParseParameterizedForms(t *testing.T) {
-	cases := []struct {
-		spec, want string
-	}{
-		{"duty-cycle:80000:50", "duty-cycle:80000:50"},
-		{"duty-cycle:60000:25", "duty-cycle"}, // the defaults elide
-		// A period not divisible by 100 must echo the parsed percent,
-		// not a floor-recomputed one (25 -> 24 -> 23 would split one
-		// configuration across several cache cells).
-		{"duty-cycle:12345:25", "duty-cycle:12345:25"},
-		{"fault-escalation:99000", "fault-escalation:99000"},
-		{"fault-escalation:150000", "fault-escalation"},
-	}
-	for _, c := range cases {
+	for _, c := range parameterizedForms {
 		got, err := Parse(c.spec)
 		if err != nil || got != c.want {
 			t.Errorf("Parse(%q) = %q, %v; want %q", c.spec, got, err, c.want)
@@ -55,10 +64,7 @@ func TestParseParameterizedForms(t *testing.T) {
 			t.Errorf("Parse(%q) = %q, %v; not canonical", got, again, err)
 		}
 	}
-	for _, bad := range []string{
-		"nope", "static:1", "duty-cycle:0", "duty-cycle:x", "duty-cycle:60000:0",
-		"duty-cycle:60000:100", "duty-cycle:1:1:1", "fault-escalation:0", "utilization:5",
-	} {
+	for _, bad := range malformedSpecs {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
@@ -66,6 +72,37 @@ func TestParseParameterizedForms(t *testing.T) {
 	if _, err := Parse("nope"); err == nil || !strings.Contains(err.Error(), "static") {
 		t.Errorf("unknown-policy error should list valid names, got %v", err)
 	}
+}
+
+// FuzzParse: a policy spec either fails to parse or yields a canonical
+// name that Parse maps to itself and that New builds under that name;
+// no input panics.
+func FuzzParse(f *testing.F) {
+	for _, name := range Names() {
+		f.Add(name)
+	}
+	for _, c := range parameterizedForms {
+		f.Add(c.spec)
+	}
+	for _, bad := range malformedSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		canon, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if again, err := Parse(canon); err != nil || again != canon {
+			t.Fatalf("Parse(%q) = %q, but Parse(%q) = %q, %v", spec, canon, canon, again, err)
+		}
+		p, err := New(canon)
+		if err != nil {
+			t.Fatalf("New(%q): %v", canon, err)
+		}
+		if p.Name() != canon {
+			t.Fatalf("New(%q).Name() = %q", canon, p.Name())
+		}
+	})
 }
 
 // TestStaticRotation: the static policy reproduces the gang

@@ -80,8 +80,3 @@ func (p *static) Decide(ev Event, pairs []PairStatus) []Assignment {
 	}
 	return asg
 }
-
-// Compile implements Scheduled: the gang rotation with no duty phase.
-func (p *static) Compile(t Topology) (Program, bool) {
-	return Program{Groups: t.Groups, Slice: t.Timeslice}, true
-}

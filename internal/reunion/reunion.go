@@ -40,7 +40,7 @@ type Pair struct {
 	vocal *cpu.Core
 	mute  *cpu.Core
 
-	// Check-stage sleep registrations (cpu.gateSleeper): waiting[s] is
+	// Check-stage sleep registrations (CheckSleep): waiting[s] is
 	// set while core s sleeps until the partner completes waitSeq[s].
 	// Stale registrations are harmless — waking an already-awake core
 	// (or one that re-armed a different sleep) is always safe.
@@ -140,9 +140,8 @@ func (p *Pair) Complete(side int, seq uint64, done sim.Cycle, fp uint64) {
 }
 
 // CheckSleep classifies the Check-stage wait for seq on side without
-// CommitReady's counter side effects (cpu gateSleeper extension). A
-// partner-missing wait registers the core for a wake on the partner's
-// Complete.
+// CommitReady's counter side effects (cpu.Gate). A partner-missing wait
+// registers the core for a wake on the partner's Complete.
 func (p *Pair) CheckSleep(side int, seq uint64) (sim.Cycle, int) {
 	self := &p.rings[side][seq%ringSize]
 	other := &p.rings[1-side][seq%ringSize]
@@ -165,8 +164,7 @@ func (p *Pair) CheckSleep(side int, seq uint64) (sim.Cycle, int) {
 }
 
 // CreditWait replays the per-poll counters of n slept CommitReady polls
-// of a matched-and-waiting-for-the-link instruction (cpu gateSleeper
-// extension).
+// of a matched-and-waiting-for-the-link instruction (cpu.Gate).
 func (p *Pair) CreditWait(n uint64) {
 	p.Checks += n
 	p.link.Sent += n

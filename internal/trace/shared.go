@@ -42,8 +42,8 @@ func (s *Shared) Detach() {
 	s.trim()
 }
 
-// Peek returns the instruction the given side's Next will consume,
-// without advancing the cursor.
+// Peek returns the instruction the given side's Consume will advance
+// past (0 = vocal, 1 = mute), without advancing the cursor.
 func (s *Shared) Peek(side int) isa.Inst {
 	idx := s.cur[side]
 	for idx >= s.base+uint64(len(s.buf)) {
@@ -52,23 +52,8 @@ func (s *Shared) Peek(side int) isa.Inst {
 	return s.buf[idx-s.base]
 }
 
-// Next returns the next instruction for the given side (0 = vocal,
-// 1 = mute).
-func (s *Shared) Next(side int) isa.Inst {
-	idx := s.cur[side]
-	for idx >= s.base+uint64(len(s.buf)) {
-		s.buf = append(s.buf, s.g.Next())
-	}
-	in := s.buf[idx-s.base]
-	s.cur[side] = idx + 1
-	s.trim()
-	return in
-}
-
 // Consume advances the given side's cursor past the instruction Peek
-// returned, without copying it back out. It consumes exactly the
-// instruction Next would have; callers that already hold the Peeked
-// value (the core's fetch stage) save the copy.
+// returns.
 func (s *Shared) Consume(side int) {
 	idx := s.cur[side]
 	for idx >= s.base+uint64(len(s.buf)) {
@@ -128,18 +113,15 @@ func (s *Shared) trim() {
 // Side returns a single-consumer view of the stream.
 func (s *Shared) Side(side int) *SideSource { return &SideSource{s: s, side: side} }
 
-// SideSource adapts one side of a Shared stream to a pull interface.
+// SideSource adapts one side of a Shared stream to the core's
+// Peek/Consume interface.
 type SideSource struct {
 	s    *Shared
 	side int
 }
 
-// Next pulls the next instruction for this side.
-func (ss *SideSource) Next() isa.Inst { return ss.s.Next(ss.side) }
-
 // Peek inspects the next instruction without consuming it.
 func (ss *SideSource) Peek() isa.Inst { return ss.s.Peek(ss.side) }
 
-// Consume advances past the instruction Peek returned without copying
-// it back out.
+// Consume advances past the instruction Peek returns.
 func (ss *SideSource) Consume() { ss.s.Consume(ss.side) }

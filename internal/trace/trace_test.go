@@ -183,6 +183,14 @@ func TestDepBounded(t *testing.T) {
 	}
 }
 
+// take pulls one instruction for side the way the core's fetch stage
+// does: Peek, then Consume.
+func take(s *Shared, side int) isa.Inst {
+	in := s.Peek(side)
+	s.Consume(side)
+	return in
+}
+
 func TestSharedStreamTee(t *testing.T) {
 	p := apache(t)
 	s := NewShared(NewInGuest(p, 42, NewGuestState(p)))
@@ -195,14 +203,14 @@ func TestSharedStreamTee(t *testing.T) {
 	// Interleave pulls with different paces.
 	for len(fromA) < 5000 || len(fromB) < 5000 {
 		if len(fromA) < 5000 {
-			fromA = append(fromA, s.Next(0))
+			fromA = append(fromA, take(s, 0))
 		}
 		if len(fromB) < 5000 && len(fromA)%3 == 0 {
-			fromB = append(fromB, s.Next(1))
+			fromB = append(fromB, take(s, 1))
 		}
 		if len(fromA) == 5000 {
 			for len(fromB) < 5000 {
-				fromB = append(fromB, s.Next(1))
+				fromB = append(fromB, take(s, 1))
 			}
 		}
 	}
@@ -216,9 +224,17 @@ func TestSharedStreamTee(t *testing.T) {
 func TestSharedPeekDoesNotConsume(t *testing.T) {
 	p := apache(t)
 	s := NewShared(New(p, 9))
+	ref := New(p, 9)
 	pk := s.Peek(0)
-	if got := s.Next(0); got != pk {
-		t.Fatal("Peek did not match the following Next")
+	if again := s.Peek(0); again != pk {
+		t.Fatal("Peek advanced the stream")
+	}
+	if want := ref.Next(); pk != want {
+		t.Fatal("Peek did not return the stream head")
+	}
+	s.Consume(0)
+	if got, want := s.Peek(0), ref.Next(); got != want {
+		t.Fatal("Consume did not advance past exactly the Peeked instruction")
 	}
 }
 
@@ -226,11 +242,11 @@ func TestSharedAttachAtVocalPosition(t *testing.T) {
 	p := apache(t)
 	s := NewShared(New(p, 13))
 	for i := 0; i < 100; i++ {
-		s.Next(0)
+		take(s, 0)
 	}
 	pk := s.Peek(0)
 	s.Attach()
-	if got := s.Next(1); got != pk {
+	if got := take(s, 1); got != pk {
 		t.Fatal("mute did not start at the vocal's position")
 	}
 	if s.Skew() != -1 {
@@ -238,7 +254,7 @@ func TestSharedAttachAtVocalPosition(t *testing.T) {
 	}
 	s.Detach()
 	// Vocal continues unperturbed.
-	if got := s.Next(0); got != pk {
+	if got := take(s, 0); got != pk {
 		t.Fatal("vocal stream disturbed by attach/detach")
 	}
 }
@@ -250,11 +266,13 @@ func TestSideSourceAdapters(t *testing.T) {
 	v, m := s.Side(0), s.Side(1)
 	for i := 0; i < 1000; i++ {
 		a := v.Peek()
-		if got := v.Next(); got != a {
-			t.Fatal("vocal side peek/next mismatch")
+		if again := v.Peek(); again != a {
+			t.Fatal("vocal side Peek advanced the stream")
 		}
-		if got := m.Next(); got != a {
+		v.Consume()
+		if got := m.Peek(); got != a {
 			t.Fatal("sides diverged")
 		}
+		m.Consume()
 	}
 }
