@@ -1,11 +1,11 @@
 // Hot-path benchmark: raw simulated cycles per wall-clock second of
 // Chip.Run for every evaluated system kind, independent of the
-// campaign/experiment layers. This is the repo's recorded performance
-// baseline — BENCH_hotpath.json holds the before/after numbers of each
-// optimization PR, and CI runs the suite with -benchtime=1x so it
-// cannot rot.
+// campaign/experiment layers. It is a profiling microbenchmark: no
+// gate reads its numbers (performance is gated by the same-box A/B of
+// `mmmgate bench`), and BENCH_hotpath.json keeps the per-cell numbers
+// it recorded for earlier optimizations as frozen history.
 //
-//	go test -run=NONE -bench=BenchmarkHotPath -benchtime=2s .
+//	go test -run=NONE -bench=BenchmarkHotPath -benchtime=2s -cpuprofile cpu.prof .
 package repro
 
 import (
@@ -20,7 +20,7 @@ import (
 // hotPathCell names one benchmark configuration: a system kind, in
 // Kind order, plus dynamic-mode-policy cells (policy decisions and
 // their transitions are chip-level events the event-horizon run loop
-// must absorb, so their speed is part of the recorded trajectory).
+// must absorb, so their speed belongs in the measured grid).
 type hotPathCell struct {
 	name   string
 	kind   core.Kind
@@ -40,12 +40,11 @@ var hotPathKinds = func() []hotPathCell {
 
 // hotPathWorkloads and hotPathSeeds span the measurement grid: two
 // workload mixes (apache, the paper's most switch-heavy server mix;
-// oltp, its transaction-processing counterpart) by three seeds, so the
-// recorded numbers carry a per-cell min/median/max spread instead of a
-// single apache/seed-11 point — per "Producing Wrong Data Without
-// Doing Anything Obviously Wrong", one cell's median is exactly the
-// measurement-bias trap. `mmmgate bench` gates every cell the latest
-// BENCH_hotpath.json entry records.
+// oltp, its transaction-processing counterpart) by three seeds, so a
+// profile or a comparison sees a per-cell spread instead of a single
+// apache/seed-11 point — per "Producing Wrong Data Without Doing
+// Anything Obviously Wrong", one cell's median is exactly the
+// measurement-bias trap.
 var (
 	hotPathWorkloads = []string{"apache", "oltp"}
 	hotPathSeeds     = []uint64{11, 12, 13}
@@ -69,9 +68,8 @@ func hotPathChip(b *testing.B, cell hotPathCell, wlName string, seed uint64) *co
 }
 
 // BenchmarkHotPath measures Chip.Run throughput in simulated cycles
-// per second across the kind × workload × seed grid (the numbers
-// BENCH_hotpath.json records). Sub-benchmark names are
-// <kind>/<workload>/s<seed>, the cell key `mmmgate bench` parses.
+// per second across the kind × workload × seed grid. Sub-benchmark
+// names are <kind>/<workload>/s<seed>.
 func BenchmarkHotPath(b *testing.B) {
 	const slice = 10_000 // cycles per iteration: several gang timeslices per second
 	for _, cell := range hotPathKinds {

@@ -1,321 +1,284 @@
 package main
 
-// mmmgate bench is the CI hot-path regression gate: it parses `go test
-// -bench` output for BenchmarkHotPath, takes each kind × workload ×
-// seed cell's median cycles/sec across repeated runs, and fails when
-// any cell recorded in the latest BENCH_hotpath.json entry regressed
-// more than tolerance below its recorded median, or did not run. The
-// fresh per-cell numbers are written as JSON, in the shape of a
-// baseline entry, so CI can upload them as a build artifact and a
-// human can refresh the baseline from them.
+// mmmgate bench is the performance gate: a same-box A/B of the
+// benchmark that BENCHMARK.json declares, a parent commit against a
+// head commit.
 //
-//	go test -run=NONE -bench='BenchmarkHotPath$' -benchtime=1s -count=3 . | tee bench.txt
-//	mmmgate bench -baseline BENCH_hotpath.json -bench bench.txt -out bench-fresh.json
+//	mmmgate bench <parent-rev> [<head-rev>]    # head defaults to HEAD
+//	mmmgate bench HEAD HEAD                    # A/A: the noise floor
 //
-// With -update, the gate instead appends a fresh baseline entry to the
-// file from the same bench output, so gating a new bench kind or cell
-// (which goes ungated until an entry records it) is a one-command
-// baseline refresh:
-//
-//	go test -run=NONE -bench='BenchmarkHotPath$' -benchtime=1s -count=3 . | \
-//	    mmmgate bench -update -pr N -change "<one-line summary>" -baseline BENCH_hotpath.json
-//
-// An entry records per-cell statistics only. Older entries also carry
-// per-kind after/before/speedup figures; the gate ignores them, since
-// they compared numbers recorded on different machines.
+// Both commits are checked out as detached worktrees at sibling paths
+// of equal length, removed on every exit path, and the head's
+// benchmark is checked out over the parent's, so the two sides differ
+// only in the program under test (Mytkowicz et al., ASPLOS 2009).
+// Uncommitted edits are not measured. Each workload runs in pairs
+// whose order alternates. The gate fails when an end-to-end metric of
+// the head is worse than its bound on every pair, when a head run
+// reports incorrect outputs, or when the head fails a larger share of
+// its operations than the parent.
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
-	"io"
-	"math"
 	"os"
-	"regexp"
-	"sort"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"strconv"
+	"strings"
+	"syscall"
 	"time"
 )
 
-// tolerance is the fractional drop below a recorded cell median that
-// fails the gate. It still absorbs run-to-run noise (CI hardware is
-// noisy and slower than the recording machine), but with per-cell
-// medians and each cell's coefficient of variation printed next to
-// them, a wide spread is distinguishable from a shifted median, so the
-// gate can afford 20% (down from the original 35%): it catches a lost
-// fast path or an accidentally quadratic hot loop without tripping on
-// jitter.
-const tolerance = 0.20
+// pairs is the number of parent/head run pairs per workload. It is
+// even so that alternating the order puts an order effect on each side
+// equally often; with every pair required beyond the bound, an order
+// effect alone cannot fail the gate.
+const pairs = 2
 
-// baselineFile mirrors the BENCH_hotpath.json schema. The header
-// fields ride along so -update rewrites the file without dropping
-// them; entries stay raw so historical records round-trip untouched.
-type baselineFile struct {
-	Comment   string            `json:"comment,omitempty"`
-	Benchmark string            `json:"benchmark"`
-	Metric    string            `json:"metric"`
-	Benchtime string            `json:"benchtime,omitempty"`
-	Workload  string            `json:"workload,omitempty"`
-	Seed      int               `json:"seed,omitempty"`
-	CPU       string            `json:"cpu,omitempty"`
-	Entries   []json.RawMessage `json:"entries"`
+// firstSeed is the seed of pair 0; pair i runs seed firstSeed+i.
+const firstSeed = 11
+
+// sideNames names the two sides of a pair; a side is its index.
+var sideNames = [2]string{"parent", "head"}
+
+// benchmark is the part of BENCHMARK.json the gate reads.
+type benchmark struct {
+	Command    []string `json:"command"`
+	Paths      []string `json:"paths"`
+	RunSeconds int      `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []struct {
+		Name   string  `json:"name"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	} `json:"end_to_end"`
 }
 
-// entry is one record of the baseline file: what -update appends and
-// -out writes, and the view of the latest record the gate reads.
-type entry struct {
-	PR           int                  `json:"pr"`
-	Date         string               `json:"date"`
-	Change       string               `json:"change,omitempty"`
-	CyclesPerSec map[string]kindCells `json:"cycles_per_sec"`
-}
-
-// kindCells is one kind's record: the statistics of each workload×seed
-// cell, keyed "<workload>/s<seed>".
-type kindCells struct {
-	Cells map[string]cellStat `json:"cells"`
-}
-
-// cellStat is the min/median/max of one workload×seed cell's samples,
-// with the coefficient of variation (stddev/mean) quantifying the
-// run-to-run noise behind the median. The min..max spread is recorded
-// next to the median so a noisy box (wide spread) is distinguishable
-// from a real regression (shifted median).
-type cellStat struct {
-	Median float64 `json:"median"`
-	Min    float64 `json:"min,omitempty"`
-	Max    float64 `json:"max,omitempty"`
-	CV     float64 `json:"cv,omitempty"`
-}
-
-// cellStatOf summarizes one cell's samples; the median is the middle
-// sample (lower-middle for even counts).
-func cellStatOf(samples []float64) cellStat {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return cellStat{Median: s[(len(s)-1)/2], Min: s[0], Max: s[len(s)-1], CV: cv(s)}
-}
-
-// benchLine matches one sub-benchmark result line, e.g.
-//
-//	BenchmarkHotPath/MMM-IPC/apache/s11-4   123   9270000 ns/op   944490 cycles/sec
-//
-// capturing the kind ("MMM-IPC"), the workload×seed cell
-// ("apache/s11"; the trailing -N is the GOMAXPROCS suffix, omitted when
-// GOMAXPROCS=1) and the cycles/sec value. A line without a cell is not
-// a BenchmarkHotPath result and is skipped.
-var benchLine = regexp.MustCompile(`^BenchmarkHotPath/([^/\s]+)/([^/\s]+/s\d+)(?:-\d+)?\s.*?([0-9.e+]+) cycles/sec`)
-
-// parseBench collects every cell's cycles/sec samples from go test
-// -bench output, indexed by kind, then cell (repeated runs via -count
-// yield repeated samples).
-func parseBench(r io.Reader) (map[string]map[string][]float64, error) {
-	out := make(map[string]map[string][]float64)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
+// decodeBenchmark decodes and checks a BENCHMARK.json.
+func decodeBenchmark(data []byte) (*benchmark, error) {
+	var bm benchmark
+	if err := json.Unmarshal(data, &bm); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if len(bm.Command) == 0 || len(bm.Workloads) == 0 || len(bm.EndToEnd) == 0 || bm.RunSeconds < 1 {
+		return nil, errors.New("BENCHMARK.json: need a command, run_seconds, workloads and end_to_end metrics")
+	}
+	for _, m := range bm.EndToEnd {
+		if (m.Better != "lower" && m.Better != "higher") || m.Bound <= 0 {
+			return nil, fmt.Errorf("BENCHMARK.json: metric %s: need better lower|higher and a positive bound", m.Name)
 		}
-		v, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad cycles/sec in %q: %w", sc.Text(), err)
-		}
-		if out[m[1]] == nil {
-			out[m[1]] = make(map[string][]float64)
-		}
-		out[m[1]][m[2]] = append(out[m[1]][m[2]], v)
 	}
-	return out, sc.Err()
+	return &bm, nil
 }
 
-// cv returns the coefficient of variation (population stddev divided by
-// mean) of the samples — the dimensionless noise figure recorded next
-// to every median. Zero for fewer than two samples or a non-positive
-// mean. Rounded to four decimals so baseline files stay readable.
-func cv(samples []float64) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	mean := sum / float64(len(samples))
-	if mean <= 0 {
-		return 0
-	}
-	var ss float64
-	for _, v := range samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Round(math.Sqrt(ss/float64(len(samples)))/mean*1e4) / 1e4
+// runResult is the last line of one benchmark run's output.
+type runResult struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
 }
 
-// summarize turns parsed samples into per-kind cell statistics, the
-// shape both the gate artifact and an appended baseline entry record.
-func summarize(fresh map[string]map[string][]float64) map[string]kindCells {
-	out := make(map[string]kindCells, len(fresh))
-	for k, cells := range fresh {
-		kc := kindCells{Cells: make(map[string]cellStat, len(cells))}
-		for c, ss := range cells {
-			kc.Cells[c] = cellStatOf(ss)
-		}
-		out[k] = kc
-	}
-	return out
-}
+// runFunc runs one workload at one seed on one side (0 parent, 1 head).
+type runFunc func(side int, workload string, seed int) (runResult, error)
 
-// gate compares every cell the baseline entry records against the
-// fresh median of the same cell, returning one line per regression and
-// the number of cells compared. A recorded cell with no fresh samples
-// is itself a failure: a benchmark that silently stopped running must
-// not pass.
-func gate(baseline, fresh map[string]kindCells) (regressions []string, checked int) {
-	for _, k := range sortedKeys(baseline) {
-		cells := baseline[k].Cells
-		for _, c := range sortedKeys(cells) {
-			checked++
-			base := cells[c].Median
-			fc, ok := fresh[k].Cells[c]
-			if !ok {
-				regressions = append(regressions,
-					fmt.Sprintf("%s/%s: no samples (cell did not run)", k, c))
-				continue
-			}
-			if m := fc.Median; base > 0 && m < base*(1-tolerance) {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s/%s: median %.0f cycles/sec vs baseline %.0f (%.0f%% of baseline, floor %.0f%%)",
-					k, c, m, base, 100*m/base, 100*(1-tolerance)))
+// measured holds each workload's runs, indexed by pair, then side.
+type measured map[string][pairs][2]runResult
+
+// measure runs every workload in pairs: pair i runs seed firstSeed+i
+// on both sides, the parent first when i is even and the head first
+// when it is odd.
+func measure(bm *benchmark, run runFunc) (measured, error) {
+	res := make(measured, len(bm.Workloads))
+	for _, w := range bm.Workloads {
+		var rs [pairs][2]runResult
+		for i := range rs {
+			for _, side := range [2]int{i % 2, 1 - i%2} {
+				r, err := run(side, w.Name, firstSeed+i)
+				if err != nil {
+					return nil, fmt.Errorf("%s %s seed %d: %w", sideNames[side], w.Name, firstSeed+i, err)
+				}
+				rs[i][side] = r
 			}
 		}
+		res[w.Name] = rs
 	}
-	return regressions, checked
+	return res, nil
 }
 
-// buildUpdateEntry records fresh cell statistics as a new baseline
-// entry.
-func buildUpdateEntry(fresh map[string]kindCells, pr int, date, change string) (json.RawMessage, error) {
-	if len(fresh) == 0 {
-		return nil, fmt.Errorf("bench output contains no BenchmarkHotPath samples")
+// verdict compares the head against the parent for every workload and
+// end-to-end metric. It returns the report lines and one line per
+// failed check; a metric missing from a run is an error.
+func verdict(bm *benchmark, res measured) (report, failures []string, err error) {
+	head := fmt.Sprintf("%-16s %-16s", "workload", "metric")
+	for i := 0; i < pairs; i++ {
+		head += fmt.Sprintf(" seed %2d", firstSeed+i)
 	}
-	return marshalPlain(entry{PR: pr, Date: date, Change: change, CyclesPerSec: fresh}, "")
+	report = append(report, head+"  (head against parent, + is worse)")
+	for _, w := range bm.Workloads {
+		rs := res[w.Name]
+		var failed, attempted [2]int
+		for i := range rs {
+			for s := range rs[i] {
+				failed[s] += rs[i][s].Failed
+				attempted[s] += rs[i][s].Attempted
+			}
+			if !rs[i][1].Correct {
+				failures = append(failures, fmt.Sprintf("%s: head run at seed %d reports incorrect outputs", w.Name, firstSeed+i))
+			}
+		}
+		report = append(report, fmt.Sprintf("%-16s %-16s head %d/%d, parent %d/%d",
+			w.Name, "failed", failed[1], attempted[1], failed[0], attempted[0]))
+		if failed[1]*attempted[0] > failed[0]*attempted[1] {
+			failures = append(failures, fmt.Sprintf("%s: head failed %d of %d operations, parent %d of %d",
+				w.Name, failed[1], attempted[1], failed[0], attempted[0]))
+		}
+		for _, m := range bm.EndToEnd {
+			line := fmt.Sprintf("%-16s %-16s", w.Name, m.Name)
+			beyond := 0
+			for i := range rs {
+				var v [2]float64
+				for s := range v {
+					mv, ok := rs[i][s].Metrics[m.Name]
+					if !ok {
+						return nil, nil, fmt.Errorf("%s %s seed %d: no metric %s", sideNames[s], w.Name, firstSeed+i, m.Name)
+					}
+					v[s] = mv.Value
+				}
+				worse := (v[1] - v[0]) / v[0]
+				if m.Better == "higher" {
+					worse = -worse
+				}
+				if worse > m.Bound {
+					beyond++
+				}
+				line += fmt.Sprintf(" %+6.1f%%", 100*worse)
+			}
+			line += fmt.Sprintf("  bound %.0f%%", 100*m.Bound)
+			if beyond == len(rs) {
+				line += "  REGRESSION"
+				failures = append(failures, fmt.Sprintf("%s %s: worse than the %.0f%% bound on every pair",
+					w.Name, m.Name, 100*m.Bound))
+			}
+			report = append(report, line)
+		}
+	}
+	return report, failures, nil
 }
 
-// marshalPlain marshals without HTML escaping — the baseline file is
-// read by maintainers, and its comment/change strings legitimately
-// contain <, > and & (shell recipes) that must not turn into <.
-func marshalPlain(v any, indent string) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if indent != "" {
-		enc.SetIndent("", indent)
+// output runs name in dir ("" is the current directory), passing its
+// standard error through, and returns its trimmed standard output.
+func output(ctx context.Context, dir, name string, args ...string) (string, error) {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir, cmd.Stderr = dir, os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)
 	}
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return bytes.TrimRight(buf.Bytes(), "\n"), nil
+	return strings.TrimSpace(string(out)), nil
 }
 
-// sortedKeys returns a map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// runBench runs the benchmark command of bm in dir and decodes the
+// last line of its output.
+func runBench(ctx context.Context, bm *benchmark, dir, workload string, seed int) (runResult, error) {
+	args := append(append([]string(nil), bm.Command[1:]...), "--workload", workload,
+		"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(bm.RunSeconds), "--trace", "0")
+	out, err := output(ctx, dir, bm.Command[0], args...)
+	if err != nil {
+		return runResult{}, err
 	}
-	sort.Strings(keys)
-	return keys
+	var r runResult
+	if err := json.Unmarshal([]byte(out[strings.LastIndexByte(out, '\n')+1:]), &r); err != nil {
+		return runResult{}, fmt.Errorf("last output line: %w", err)
+	}
+	return r, nil
+}
+
+// benchAB gates headRev against parentRev and returns the exit code
+// with its reason: 1 for a failed check, 2 for a usage, setup or build
+// error.
+func benchAB(ctx context.Context, parentRev, headRev string) (int, error) {
+	tmp, err := os.MkdirTemp("", "mmmgate-bench-")
+	if err != nil {
+		return 2, err
+	}
+	defer func() {
+		if err := os.RemoveAll(tmp); err != nil {
+			fmt.Fprintln(os.Stderr, "mmmgate bench:", err)
+		}
+		if _, err := output(context.Background(), "", "git", "worktree", "prune"); err != nil {
+			fmt.Fprintln(os.Stderr, "mmmgate bench:", err)
+		}
+	}()
+	var revs [2]string
+	dirs := [2]string{filepath.Join(tmp, "a"), filepath.Join(tmp, "b")}
+	for s, rev := range []string{parentRev, headRev} {
+		if revs[s], err = output(ctx, "", "git", "rev-parse", "--verify", "--end-of-options", rev+"^{commit}"); err != nil {
+			return 2, err
+		}
+		if _, err := output(ctx, "", "git", "worktree", "add", "--quiet", "--detach", dirs[s], revs[s]); err != nil {
+			return 2, err
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dirs[1], "BENCHMARK.json"))
+	if err != nil {
+		return 2, err
+	}
+	bm, err := decodeBenchmark(data)
+	if err != nil {
+		return 2, err
+	}
+	if _, err := output(ctx, dirs[0], "git", append([]string{"checkout", "--quiet", revs[1], "--", "BENCHMARK.json"}, bm.Paths...)...); err != nil {
+		return 2, err
+	}
+
+	fmt.Printf("mmmgate bench: parent %.12s (%s) against head %.12s (%s): %d workloads, %d pairs at %d s\n",
+		revs[0], parentRev, revs[1], headRev, len(bm.Workloads), pairs, bm.RunSeconds)
+	res, err := measure(bm, func(side int, workload string, seed int) (runResult, error) {
+		start := time.Now()
+		r, err := runBench(ctx, bm, dirs[side], workload, seed)
+		if err == nil {
+			fmt.Printf("mmmgate bench: ran %-6s %-16s seed %d in %.0f s\n",
+				sideNames[side], workload, seed, time.Since(start).Seconds())
+		}
+		return r, err
+	})
+	if err != nil {
+		return 2, err
+	}
+	report, failures, err := verdict(bm, res)
+	if err != nil {
+		return 2, err
+	}
+	for _, line := range report {
+		fmt.Println("mmmgate bench:", line)
+	}
+	if len(failures) > 0 {
+		for _, f := range failures {
+			fmt.Println("mmmgate bench: FAIL", f)
+		}
+		return 1, fmt.Errorf("%d check(s) failed", len(failures))
+	}
+	fmt.Println("mmmgate bench: ok")
+	return 0, nil
 }
 
 func benchMain(args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	var (
-		baselinePath = fs.String("baseline", "BENCH_hotpath.json", "recorded baseline file")
-		benchPath    = fs.String("bench", "-", "go test -bench output ('-' = stdin)")
-		outPath      = fs.String("out", "", "write fresh numbers + verdict as JSON here")
-		update       = fs.Bool("update", false, "append a fresh baseline entry instead of gating")
-		pr           = fs.Int("pr", 0, "PR number recorded in the appended entry (-update)")
-		change       = fs.String("change", "", "one-line change description for the appended entry (-update)")
-	)
-	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
-
-	data, err := os.ReadFile(*baselinePath)
+	if len(args) < 1 || len(args) > 2 || strings.HasPrefix(args[0], "-") {
+		exit(2, "bench: usage: mmmgate bench <parent-rev> [<head-rev>]  (head defaults to HEAD)")
+	}
+	revs := append(args, "HEAD") // the head defaults to HEAD
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code, err := benchAB(ctx, revs[0], revs[1])
+	stop()
 	if err != nil {
-		exit(2, "bench: %v", err)
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		exit(2, "bench: parse %s: %v", *baselinePath, err)
-	}
-
-	in, err := openInput(*benchPath)
-	if err != nil {
-		exit(2, "bench: %v", err)
-	}
-	samples, err := parseBench(in)
-	in.Close()
-	if err != nil {
-		exit(2, "bench: %v", err)
-	}
-	fresh := summarize(samples)
-	today := time.Now().Format("2006-01-02")
-
-	if *update {
-		raw, err := buildUpdateEntry(fresh, *pr, today, *change)
-		if err != nil {
-			exit(2, "bench: %v", err)
-		}
-		bf.Entries = append(bf.Entries, raw)
-		writeJSONFile(*baselinePath, &bf)
-		fmt.Printf("mmmgate bench: appended entry pr=%d with %d kinds to %s\n",
-			*pr, len(fresh), *baselinePath)
-		return
-	}
-
-	if len(bf.Entries) == 0 {
-		exit(2, "bench: %s has no entries", *baselinePath)
-	}
-	var latest entry
-	if err := json.Unmarshal(bf.Entries[len(bf.Entries)-1], &latest); err != nil {
-		exit(2, "bench: %s: latest entry: %v", *baselinePath, err)
-	}
-	regressions, checked := gate(latest.CyclesPerSec, fresh)
-	if checked == 0 {
-		exit(2, "bench: the latest entry of %s records no cells to gate", *baselinePath)
-	}
-	if *outPath != "" {
-		writeJSONFile(*outPath, entry{Date: today, CyclesPerSec: fresh})
-	}
-	for _, k := range sortedKeys(fresh) {
-		cells := fresh[k].Cells
-		for _, c := range sortedKeys(cells) {
-			cs := cells[c]
-			fmt.Printf("mmmgate bench: %-32s median %12.0f  [%.0f..%.0f]  cv %.3f  baseline %12.0f\n",
-				k+"/"+c, cs.Median, cs.Min, cs.Max, cs.CV, latest.CyclesPerSec[k].Cells[c].Median)
-		}
-	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "mmmgate bench: REGRESSION %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("mmmgate bench: ok (%d cells within %.0f%% of baseline)\n",
-		checked, 100*tolerance)
-}
-
-// writeJSONFile writes v to path as indented JSON without HTML
-// escaping.
-func writeJSONFile(path string, v any) {
-	out, err := marshalPlain(v, "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(out, '\n'), 0o644)
-	}
-	if err != nil {
-		exit(2, "bench: %v", err)
+		exit(code, "bench: %v", err)
 	}
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -50,7 +51,12 @@ func scrapeMain(args []string) {
 	}
 
 	if *list {
-		for _, n := range sortedKeys(fams) {
+		names := make([]string, 0, len(fams))
+		for n := range fams {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
 			f := fams[n]
 			typ := f.Type
 			if typ == "" {

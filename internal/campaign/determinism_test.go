@@ -12,15 +12,15 @@ import (
 
 // determinismJobs is a small but representative sweep: two system
 // kinds, two seeds, one knob variant.
-func determinismJobs(t *testing.T) []Job {
-	t.Helper()
+func determinismJobs(tb testing.TB) []Job {
+	tb.Helper()
 	spec, err := Named("tso", []string{"apache"}, []uint64{11, 23})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	jobs, err := spec.Expand()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return jobs
 }

@@ -364,46 +364,34 @@ func ReadJournalFile(path string) ([]Event, error) {
 }
 
 // ReplayResults reconstructs a run's result set from its journal: the
-// merged events, in order, are the cells. A complete journal replays
-// to the exact ResultSet the run produced — Summarize over it renders
-// the same rows byte-for-byte, which is both the crash post-mortem
-// path and the exactly-once regression oracle.
+// merged events, in order, are the cells. The journal must pass
+// ValidateEvents and begin with its expanded event; a partial journal
+// from a crashed run replays its merged prefix. A complete journal
+// replays to the exact ResultSet the run produced — Summarize over it
+// renders the same rows byte-for-byte, which is both the crash
+// post-mortem path and the exactly-once regression oracle.
 func ReplayResults(events []Event) (*ResultSet, error) {
+	if _, err := ValidateEvents(events); err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	if events[0].Type != EventExpanded {
+		return nil, fmt.Errorf("campaign: journal has no expanded event")
+	}
 	rs := &ResultSet{}
-	found := false
+	if events[0].Scale != nil {
+		rs.Scale = *events[0].Scale
+	}
 	for i := range events {
 		ev := &events[i]
-		switch ev.Type {
-		case EventExpanded:
-			if found {
-				return nil, fmt.Errorf("campaign: journal has two expanded events")
-			}
-			found = true
-			if ev.Scale != nil {
-				rs.Scale = *ev.Scale
-			}
-			rs.Results = make([]Result, 0, ev.Total)
-		case EventMerged:
-			if !found {
-				return nil, fmt.Errorf("campaign: merged event before expanded")
-			}
-			if ev.Job == nil || ev.Metrics == nil {
-				return nil, fmt.Errorf("campaign: merged event %d lacks job or metrics", ev.Seq)
-			}
-			if ev.Cell != len(rs.Results) {
-				return nil, fmt.Errorf("campaign: merged cell %d out of order (want %d)",
-					ev.Cell, len(rs.Results))
-			}
-			rs.Results = append(rs.Results, Result{Job: *ev.Job, Metrics: *ev.Metrics, CacheHit: ev.Hit})
-			if ev.Hit {
-				rs.Hits++
-			} else {
-				rs.Misses++
-			}
+		if ev.Type != EventMerged {
+			continue
 		}
-	}
-	if !found {
-		return nil, fmt.Errorf("campaign: journal has no expanded event")
+		rs.Results = append(rs.Results, Result{Job: *ev.Job, Metrics: *ev.Metrics, CacheHit: ev.Hit})
+		if ev.Hit {
+			rs.Hits++
+		} else {
+			rs.Misses++
+		}
 	}
 	return rs, nil
 }
@@ -441,6 +429,9 @@ func ValidateEvents(events []Event) (JournalCheck, error) {
 		if terminalAt >= 0 {
 			return chk, fmt.Errorf("event seq %d follows terminal %s event", ev.Seq, events[terminalAt].Type)
 		}
+		if ev.Cell < -1 {
+			return chk, fmt.Errorf("event seq %d: cell %d out of range", ev.Seq, ev.Cell)
+		}
 		chk.Types[ev.Type]++
 		switch ev.Type {
 		case EventExpanded:
@@ -449,6 +440,9 @@ func ValidateEvents(events []Event) (JournalCheck, error) {
 			}
 			if i != 0 {
 				return chk, fmt.Errorf("expanded event at position %d, want first", i)
+			}
+			if ev.Total < 0 {
+				return chk, fmt.Errorf("event seq %d: negative total %d", ev.Seq, ev.Total)
 			}
 			expanded = true
 			chk.Total = ev.Total

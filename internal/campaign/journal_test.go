@@ -3,10 +3,13 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,31 +289,43 @@ func TestJournalFinishOutcomes(t *testing.T) {
 	}
 }
 
+// goodJournal is a complete, valid journal of the determinism jobs:
+// every cell lands and merges in order, then the run finishes.
+func goodJournal(tb testing.TB) []Event {
+	jobs := determinismJobs(tb)
+	j, _ := NewJournal("v", "")
+	j.Begin(microScale(), len(jobs), nil)
+	for i := range jobs {
+		landed(j, i, jobs[i], false, "w", time.Second, 1)
+	}
+	j.Finish(nil)
+	return j.Events()
+}
+
+// Malformed one-event journals: a negative cell count, a count far
+// beyond any run, and a cell index below the run-level -1.
+const (
+	journalNegativeTotal = `{"seq":1,"type":"expanded","cell":-1,"total":-1}`
+	journalHugeTotal     = `{"seq":1,"type":"expanded","cell":-1,"total":1099511627776}`
+	journalNegativeCell  = `{"seq":1,"type":"expanded","cell":-1,"total":2}` + "\n" +
+		`{"seq":2,"type":"completed","cell":-7}`
+)
+
 // TestValidateEventsRejectsCorruption: each structural invariant
 // actually fires.
 func TestValidateEventsRejectsCorruption(t *testing.T) {
 	jobs := determinismJobs(t)
-	good := func() []Event {
-		j, _ := NewJournal("v", "")
-		j.Begin(microScale(), len(jobs), nil)
-		for i := range jobs {
-			landed(j, i, jobs[i], false, "w", time.Second, 1)
-		}
-		j.Finish(nil)
-		return j.Events()
-	}
-
 	if _, err := ValidateEvents(nil); err == nil {
 		t.Error("empty journal accepted")
 	}
 
-	events := good()
+	events := goodJournal(t)
 	events[2].Seq = events[1].Seq
 	if _, err := ValidateEvents(events); err == nil {
 		t.Error("non-increasing seq accepted")
 	}
 
-	events = good()
+	events = goodJournal(t)
 	events[0], events[1] = events[1], events[0]
 	events[0].Seq, events[1].Seq = 1, 2
 	if _, err := ValidateEvents(events); err == nil {
@@ -318,7 +333,7 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 	}
 
 	// Swap two merged events: expansion order violated.
-	events = good()
+	events = goodJournal(t)
 	var merged []int
 	for i := range events {
 		if events[i].Type == EventMerged {
@@ -331,7 +346,7 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 	}
 
 	// A merged event without its payload.
-	events = good()
+	events = goodJournal(t)
 	events[merged[0]].Job = nil
 	if _, err := ValidateEvents(events); err == nil {
 		t.Error("payload-less merge accepted")
@@ -349,7 +364,7 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 	}
 
 	// Cell index out of range.
-	events = good()
+	events = goodJournal(t)
 	j2, _ := NewJournal("v", "")
 	j2.Begin(microScale(), 1, nil)
 	j2.Started(5, jobs[0], "w", 1)
@@ -357,12 +372,79 @@ func TestValidateEventsRejectsCorruption(t *testing.T) {
 		t.Error("out-of-range cell accepted")
 	}
 
+	// A negative cell count, and a cell index below -1.
+	for _, text := range []string{journalNegativeTotal, journalNegativeCell} {
+		events, err := ReadJournal(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateEvents(events); err == nil {
+			t.Errorf("accepted %s", text)
+		}
+		if _, err := ReplayResults(events); err == nil {
+			t.Errorf("replay accepted %s", text)
+		}
+	}
+
 	// ReplayResults shares the ordering oracle.
-	events = good()
+	events = goodJournal(t)
 	events[merged[0]].Cell, events[merged[1]].Cell = events[merged[1]].Cell, events[merged[0]].Cell
 	if _, err := ReplayResults(events); err == nil {
 		t.Error("replay accepted out-of-order merge")
 	}
+
+	// A declared cell count sizes nothing: a huge one replays to an
+	// empty, incomplete result set.
+	events, err := ReadJournal(strings.NewReader(journalHugeTotal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := ReplayResults(events); err != nil || len(rs.Results) != 0 {
+		t.Errorf("huge total: replay %v, %v", rs, err)
+	}
+
+	// A crashed run's journal replays its merged prefix.
+	events = goodJournal(t)
+	events = events[:merged[1]]
+	if rs, err := ReplayResults(events); err != nil || len(rs.Results) != 1 || rs.Results[0].Job.Key() != jobs[0].Key() {
+		t.Errorf("partial journal: replay %v, %v", rs, err)
+	}
+}
+
+// FuzzJournal: arbitrary bytes through the post-mortem pipeline —
+// ReadJournal, ValidateEvents, ReplayResults, Attribute and the text
+// report — never panic; ReplayResults rejects what ValidateEvents
+// rejects, and a journal that validates as complete replays to exactly
+// its declared cell count.
+func FuzzJournal(f *testing.F) {
+	var good bytes.Buffer
+	for _, ev := range goodJournal(f) {
+		line, err := json.Marshal(ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		good.Write(append(line, '\n'))
+	}
+	f.Add(good.Bytes())
+	f.Add([]byte(journalNegativeTotal))
+	f.Add([]byte(journalHugeTotal))
+	f.Add([]byte(journalNegativeCell))
+	f.Add([]byte(`{"seq":1,"type":"expanded","cell":-1,"total":100000000}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJournal(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		chk, verr := ValidateEvents(events)
+		rs, rerr := ReplayResults(events)
+		if verr != nil && rerr == nil {
+			t.Fatalf("replay accepted a journal ValidateEvents rejects: %v", verr)
+		}
+		if verr == nil && chk.Complete && (rerr != nil || len(rs.Results) != chk.Total) {
+			t.Fatalf("complete journal of %d cells: replay %v, %v", chk.Total, rs, rerr)
+		}
+		Attribute("fuzz", events).WriteText(io.Discard)
+	})
 }
 
 // TestJournalNilSafe: every method must be a no-op on a nil journal —

@@ -101,26 +101,8 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		writeJSONTo(rw, http.StatusOK, map[string]string{"status": "ok", "worker": w.opts.Name})
 	})
-	mux.HandleFunc("GET /status", w.handleStatus)
 	mux.HandleFunc("POST "+api.PathPrefix+"/attach", w.handleAttach)
 	return mux
-}
-
-func (w *Worker) handleStatus(rw http.ResponseWriter, _ *http.Request) {
-	w.mu.Lock()
-	attached := len(w.attachments)
-	w.mu.Unlock()
-	writeJSONTo(rw, http.StatusOK, map[string]any{
-		"worker":        w.opts.Name,
-		"capacity":      w.opts.Capacity,
-		"check":         w.check,
-		"attachments":   attached,
-		"attach_total":  w.attachTotal.Load(),
-		"jobs_done":     w.jobsDone.Load(),
-		"jobs_failed":   w.jobsFailed.Load(),
-		"leases_lost":   w.leasesLost.Load(),
-		"in_flight_max": cap(w.slots),
-	})
 }
 
 // WorkerStats is a point-in-time snapshot of a worker's counters, for

@@ -143,7 +143,7 @@ func TestRunMatchesTickUnderFaultInjection(t *testing.T) {
 // BenchmarkNewSystem tracks chip-construction cost (PAT sync, page
 // tables, cache arrays): campaign workers and relia trial batches build
 // thousands of short-lived chips, so construction is part of the hot
-// path. BENCH_hotpath.json records its trajectory.
+// path.
 func BenchmarkNewSystem(b *testing.B) {
 	wl, err := workload.ByName("apache")
 	if err != nil {
