@@ -140,6 +140,55 @@ func TestRunMatchesTickUnderFaultInjection(t *testing.T) {
 	}
 }
 
+// TestRunSplitMatchesSingleRun: a sleeping core's counters are owed
+// across Run calls and settled when it is next ticked or read, so how a
+// run is cut must not matter. One chip warms up and measures with single
+// Run calls; a second runs the same cycles in rotating slices of 1, 2
+// and 7,919 cycles, with its ResetMeasurement and an extra read-only
+// Collect landing wherever the slices end. Every kind runs with and
+// without fault injection.
+func TestRunSplitMatchesSingleRun(t *testing.T) {
+	const warmup, measure = 30_000, 60_000
+	for _, kind := range AllKinds() {
+		for _, faults := range []bool{false, true} {
+			name := kind.String()
+			plan := func() *fault.Plan { return nil }
+			if faults {
+				name += "/faults"
+				plan = func() *fault.Plan { return &fault.Plan{MeanInterval: 5_000, Seed: 5} }
+			}
+			t.Run(name, func(t *testing.T) {
+				want := buildCell(t, kind, plan()).Measure(warmup, measure)
+
+				split := buildCell(t, kind, plan())
+				slices := []sim.Cycle{1, 2, 7_919}
+				calls := 0
+				runTo := func(to sim.Cycle) {
+					for split.Now < to {
+						n := slices[calls%len(slices)]
+						calls++
+						if left := to - split.Now; n > left {
+							n = left
+						}
+						split.Run(n)
+					}
+				}
+				runTo(warmup)
+				split.ResetMeasurement()
+				start := split.Now
+				runTo(start + measure/2)
+				split.Collect(split.Now - start)
+				runTo(start + measure)
+				got := split.Collect(split.Now - start)
+
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("split run diverged from a single run:\nsingle: %+v\nsplit:  %+v", want, got)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkNewSystem tracks chip-construction cost (PAT sync, page
 // tables, cache arrays): campaign workers and relia trial batches build
 // thousands of short-lived chips, so construction is part of the hot
