@@ -278,7 +278,11 @@ func (c *Chip) tickInjectorRecorded(now sim.Cycle) {
 // the fault injector on each of the n cycles, it asks each for its
 // event horizon (NextEventAt) and bulk-steps the active cores up to the
 // earliest one, falling back to full per-cycle Ticks only at event
-// cycles and while a pair is draining toward a mode switch. The
+// cycles and while a pair is draining toward a mode switch. Inside a
+// bulk step, a core whose pipeline sleeps is not ticked until its wake
+// cycle (cpu.Core.SkipUntil), and when every active core sleeps the
+// clock jumps to the earliest wake. Slept cycles are charged lazily, at
+// the core's next Tick or at Collect/ResetMeasurement (SettleTo). The
 // resulting simulation is cycle-for-cycle identical to n Ticks.
 //
 //mmm:hotpath
@@ -305,11 +309,23 @@ func (c *Chip) Run(n sim.Cycle) {
 		start := c.Now
 		c.transDirty = false
 		for c.Now < horizon {
+			// A sleeping core is skipped until its wake cycle; it
+			// settles the skipped cycles when next ticked or read. When
+			// every active core sleeps, the clock jumps to the earliest
+			// wake: no core could change any state before it.
 			now := c.Now
+			next := horizon
 			for _, core := range c.active {
+				if at := core.SkipUntil(); now < at {
+					if at < next {
+						next = at
+					}
+					continue
+				}
 				core.Tick(now)
+				next = now + 1
 			}
-			c.Now++
+			c.Now = next
 			if c.transDirty {
 				// A fetch/commit hook queued a mode transition this
 				// cycle; it must start draining on the next one.
@@ -425,9 +441,10 @@ func (c *Chip) setAttribution(coreID, guest int) {
 func (c *Chip) ResetMeasurement() {
 	for i, core := range c.Cores {
 		c.flushAttribution(i)
-		// Settle Check-stage poll debt into the warmup counters being
-		// discarded; polls slept through after the reset accrue fresh.
-		core.SettleCheckDebt()
+		// Settle slept warmup cycles into the counters being discarded
+		// (the pair's included); cycles slept after the reset accrue
+		// fresh.
+		core.SettleTo(c.Now)
 		core.C = stats.CoreCounters{}
 		c.attrUser[i] = 0
 		c.attrOS[i] = 0

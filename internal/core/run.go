@@ -98,10 +98,10 @@ func (c *Chip) Measure(warmup, measure sim.Cycle) Metrics {
 // length.
 func (c *Chip) Collect(window sim.Cycle) Metrics {
 	c.syncIdle()
-	// Cores sleeping through a Check-stage wait owe the pair counters
-	// their unperformed polls; settle before summing.
+	// Sleeping cores owe their own and their pair's counters the slept
+	// cycles; settle before summing.
 	for _, core := range c.Cores {
-		core.SettleCheckDebt()
+		core.SettleTo(c.Now)
 	}
 	for i := range c.Cores {
 		c.flushAttribution(i)

@@ -246,6 +246,12 @@ func (c *Chip) applyPlan(pi int, pl pairPlan, suppressHook bool) {
 	vocal, mute := c.Cores[2*pi], c.Cores[2*pi+1]
 	pair := c.Pairs[pi]
 	was := c.curPlan[pi]
+	// Charge cycles the cores slept (and Run skipped) under the old
+	// configuration before its source, gate and user/OS phase change. A
+	// core parked here must owe nothing, or creditIdle would count its
+	// parked cycles a second time.
+	vocal.WakeAt(c.Now)
+	mute.WakeAt(c.Now)
 
 	// Detach streams that stop running redundantly.
 	if was.dmr && !pl.dmr && was.vocal != nil {

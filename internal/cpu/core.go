@@ -6,6 +6,14 @@
 // hardware-filled TLB, and an optional Check stage that gates commit on
 // the partner core's fingerprint when Dual-Modular Redundancy is
 // active.
+//
+// Stalled cycles cost next to nothing to simulate. When a Tick proves
+// every stage inert for a span of cycles, the core sleeps: it records
+// what one slept cycle adds to its counters and the first cycle it
+// owes, and charges the whole span in one step (settle) when it is next
+// ticked, read (SettleTo) or reconfigured (WakeAt). A chip's run loop
+// may therefore skip a sleeping core until SkipUntil instead of ticking
+// it every cycle.
 package cpu
 
 import (
@@ -143,22 +151,31 @@ type Core struct {
 	// sleepUntil sleeps the whole pipeline walk: armSleep sets it when,
 	// at the end of a Tick, every stage is provably inert — commit
 	// blocked on a known completion cycle, the issue scan asleep, fetch
-	// stalled on a known or externally-released condition — so Tick can
-	// replay the cycle's counter increments (the sleep* deltas below)
-	// without running commit/issue/fetch at all. Any external mutation
-	// of pipeline state (source/gate changes, holds, resumes, blocks,
-	// squashes) clears it.
+	// stalled on a known or externally-released condition — and the
+	// empty-window fetch stall sets it directly. Until then a Tick only
+	// settles counters. readyUnknown means no deadline: an external wake
+	// (the partner's completion, Resume) ends the sleep. Any external
+	// mutation of pipeline state (source/gate changes, holds, resumes,
+	// blocks, squashes) clears it; 0 when awake.
 	sleepUntil sim.Cycle
-	sleepFS    uint64 // per-cycle FetchStallCycles while asleep (0/1)
-	sleepSI    uint64 // per-cycle SIStallCycles while asleep (0/1)
-	sleepWF    uint64 // per-cycle WindowFullCycles while asleep (0/1)
-	sleepSS    uint64 // per-cycle StoreCommitStall while asleep (0/1)
-	sleepCW    uint64 // per-cycle CheckWaitCycles while asleep (0/1)
-	// sleepCredit marks a CheckWaitRelease sleep: each slept cycle also
-	// owes the gate one CommitReady poll's counter increments, settled
-	// in bulk (sleepOwed → Gate.CreditWait) when the sleep ends.
+	// owedFrom is the first slept cycle whose counters are not charged
+	// yet (0: nothing owed). settle charges the span up to a given cycle
+	// at the per-cycle deltas below, plus Cycles and the user/OS split
+	// by inOS. An external wake leaves the span owed; the next Tick, or
+	// SettleTo/WakeAt, charges it. Of the state external events change,
+	// only the gate, the source and inOS bear on what a slept cycle
+	// charges, so a reconfiguration calls WakeAt first.
+	owedFrom sim.Cycle
+	sleepFS  uint64 // per-cycle FetchStallCycles while asleep (0/1)
+	sleepSI  uint64 // per-cycle SIStallCycles while asleep (0/1)
+	sleepWF  uint64 // per-cycle WindowFullCycles while asleep (0/1)
+	sleepSS  uint64 // per-cycle StoreCommitStall while asleep (0/1)
+	sleepCW  uint64 // per-cycle CheckWaitCycles while asleep (0/1)
+	sleepFP  uint64 // per-cycle FingerprintChecks while asleep (0/1)
+	// sleepCredit marks a sleep through matched Check-stage polls: each
+	// slept cycle also owes the gate one CommitReady poll's counter
+	// increments, which settle passes to Gate.CreditWait.
 	sleepCredit bool
-	sleepOwed   uint64
 
 	// TSO store buffer: completion times of posted (committed but not
 	// yet drained) stores. Empty and unused under SC.
@@ -230,7 +247,7 @@ func (c *Core) SetSpace(s *paging.Space) { c.Space = s }
 // SetGate enables (non-nil) or disables the DMR Check stage. side is
 // the core's position in the pair (0 = vocal, 1 = mute).
 func (c *Core) SetGate(g Gate, side int) {
-	c.wake() // settle any Check-stage debt against the old gate
+	c.wake()
 	c.gate = g
 	c.side = side
 }
@@ -341,34 +358,56 @@ func (c *Core) Squash(now sim.Cycle, fromSeq uint64) {
 	c.C.Recoveries++
 }
 
-// wake ends any armed pipeline sleep, settling Check-stage counter debt
-// accumulated by a CheckWaitRelease sleep. It is called by every
-// external event that could change what the sleeping pipeline would do
-// (and by WakeCheck when the DMR partner completes a waited-on
-// instruction); waking a core that could in fact have kept sleeping is
-// always safe — a full Tick on a sleepable cycle performs exactly the
-// increments the replay would have.
-func (c *Core) wake() {
-	c.sleepUntil = 0
-	c.SettleCheckDebt()
-}
+// wake ends any armed pipeline sleep. It is called by every external
+// event that could change what the sleeping pipeline would do (and by
+// WakeCheck when the DMR partner completes a waited-on instruction);
+// waking a core that could in fact have kept sleeping is always safe —
+// a full Tick on a sleepable cycle performs exactly the increments the
+// sleep would have. The slept span stays owed until the next Tick (or
+// SettleTo/WakeAt) charges it. That is exact whichever core wakes
+// which: a core woken mid-cycle by a lower-ID core has not ticked this
+// cycle and walks it; one woken by a higher-ID core slept this cycle,
+// and its next Tick settles through it.
+func (c *Core) wake() { c.sleepUntil = 0 }
 
 // WakeCheck ends a Check-stage sleep early: the gate calls it when the
 // partner completes the instruction the core is waiting on.
 func (c *Core) WakeCheck() { c.wake() }
 
-// SettleCheckDebt flushes Check-stage counter credits owed by an
-// in-progress sleep without ending it, so an external reader (metrics
-// collection, measurement reset) observes settled gate counters.
-func (c *Core) SettleCheckDebt() {
-	if c.sleepOwed != 0 {
-		c.gate.CreditWait(c.sleepOwed)
-		c.sleepOwed = 0
-	}
+// SettleTo charges the slept cycles before now to the counters (and
+// the gate) without ending the sleep, so an external reader (metrics
+// collection, measurement reset) observes settled counters.
+func (c *Core) SettleTo(now sim.Cycle) { c.settle(now) }
+
+// WakeAt charges the slept cycles before now and ends the sleep. A
+// caller that skips sleeping cores must call it before changing the
+// core's source, gate or user/OS phase at cycle now, so the owed
+// cycles are charged under the state they were slept in.
+func (c *Core) WakeAt(now sim.Cycle) {
+	c.settle(now)
+	c.owedFrom = 0
+	c.sleepUntil = 0
 }
 
+// SkipUntil returns the cycle at which a sleeping core next needs a
+// Tick, or 0 when it is awake. Ticks before it only settle counters,
+// which a later Tick, SettleTo or WakeAt does in one step, so a run
+// loop may skip the core until then.
+func (c *Core) SkipUntil() sim.Cycle { return c.sleepUntil }
+
 // Tick advances the core by one cycle: commit, issue, fetch.
+//
+//mmm:hotpath
 func (c *Core) Tick(now sim.Cycle) {
+	// Pipeline sleep: a previous Tick proved every stage inert until
+	// sleepUntil, so the cycle reduces to charging its counters.
+	if now < c.sleepUntil {
+		c.settle(now + 1)
+		return
+	}
+	if c.owedFrom != 0 {
+		c.WakeAt(now) // the sleep expired or was ended externally
+	}
 	c.C.Cycles++
 	if c.src == nil {
 		c.C.IdleCycles++
@@ -379,32 +418,21 @@ func (c *Core) Tick(now sim.Cycle) {
 	} else {
 		c.C.UserCycles++
 	}
-	// Pipeline sleep: a previous full Tick proved (armSleep) that every
-	// stage is inert until sleepUntil, so the cycle reduces to replaying
-	// the same counter increments the full walk would make.
-	if now < c.sleepUntil {
-		c.C.FetchStallCycles += c.sleepFS
-		c.C.SIStallCycles += c.sleepSI
-		c.C.WindowFullCycles += c.sleepWF
-		c.C.StoreCommitStall += c.sleepSS
-		c.C.CheckWaitCycles += c.sleepCW
-		if c.sleepCredit {
-			c.sleepOwed++
-		}
-		return
-	}
-	if c.sleepOwed != 0 {
-		// The sleep expired naturally: settle the Check-stage debt
-		// before the live CommitReady polls resume.
-		c.SettleCheckDebt()
-	}
-	// Fast path for a fully stalled core: the window is empty and fetch
-	// cannot proceed (held for a mode transition, or blocked on a
-	// redirect/transition latency). Nothing can commit, issue or fetch;
-	// only the stall counter advances — exactly what the full pipeline
-	// walk below would do, without the three calls.
+	// A fully stalled core: the window is empty and fetch cannot
+	// proceed (held for a mode transition, or blocked on a
+	// redirect/transition latency). Nothing can commit, issue or fetch
+	// until fetchBlockedUntil, or until Resume releases a hold; only the
+	// fetch stall counter advances — exactly what the full pipeline walk
+	// below would do. Sleep through it.
 	if c.count == 0 && (c.fetchHold || c.fetchBlockedUntil > now) {
 		c.C.FetchStallCycles++
+		c.sleepUntil = c.fetchBlockedUntil
+		if c.fetchHold {
+			c.sleepUntil = readyUnknown
+		}
+		c.owedFrom = now + 1
+		c.sleepFS, c.sleepSI, c.sleepWF, c.sleepSS, c.sleepCW, c.sleepFP = 1, 0, 0, 0, 0, 0
+		c.sleepCredit = false
 		return
 	}
 	c.commit(now)
@@ -413,26 +441,59 @@ func (c *Core) Tick(now sim.Cycle) {
 	c.armSleep(now)
 }
 
+// settle charges the owed slept cycles before to: each adds Cycles,
+// OSCycles or UserCycles by the (unchanging) phase, and the sleep's
+// per-cycle stall, fingerprint and gate-poll deltas.
+//
+//mmm:hotpath
+func (c *Core) settle(to sim.Cycle) {
+	if c.owedFrom == 0 || to <= c.owedFrom {
+		return
+	}
+	n := uint64(to - c.owedFrom)
+	c.owedFrom = to
+	c.C.Cycles += n
+	if c.inOS {
+		c.C.OSCycles += n
+	} else {
+		c.C.UserCycles += n
+	}
+	c.C.FetchStallCycles += n * c.sleepFS
+	c.C.SIStallCycles += n * c.sleepSI
+	c.C.WindowFullCycles += n * c.sleepWF
+	c.C.StoreCommitStall += n * c.sleepSS
+	c.C.CheckWaitCycles += n * c.sleepCW
+	c.C.FingerprintChecks += n * c.sleepFP
+	if c.sleepCredit {
+		c.gate.CreditWait(n)
+	}
+}
+
 // armSleep inspects the pipeline after a full Tick and, when every
 // stage is provably inert for a span of cycles, arms the Tick-level
 // sleep for that span. "Inert" means the stage takes the same early
-// exit on every cycle of the span, mutating nothing but its stall
-// counter: commit blocked on the head's known completion (or on an
-// unissued head that the sleeping issue scan cannot execute), issue
-// asleep on issueWakeAt, and fetch stalled on a hold, a known block
-// cycle, in-flight serializers, or a full window/load-store queue.
-// Cases whose next state transition depends on the DMR partner (Check
-// stage waits) or mutates state per cycle (TSO buffer drain) never
-// sleep. External events that could wake a stage early (Resume,
-// BlockUntil, Squash, source/gate changes) clear sleepUntil.
+// exit on every cycle of the span, mutating nothing but its counters:
+// commit blocked on the head's known completion (or on an unissued head
+// that the sleeping issue scan cannot execute), on a Check-stage wait,
+// or on a checked SC store's write-through; issue asleep on
+// issueWakeAt; and fetch stalled on a hold, a known block cycle,
+// in-flight serializers, or a full window/load-store queue. The sleep
+// records the counters one such cycle increments, and settle charges
+// them. A Check-stage wait for the partner's execution sleeps with no
+// deadline (the gate wakes the core); a mismatch pending and the TSO
+// store buffer's per-cycle drain never sleep. External events that
+// could wake a stage early (Resume, BlockUntil, Squash, source/gate
+// changes) clear sleepUntil.
+//
+//mmm:hotpath
 func (c *Core) armSleep(now sim.Cycle) {
 	if c.count == 0 {
 		// Either fetch is progressing (no sleep) or the window is empty
-		// and held, which the count==0 fast path in Tick already covers.
+		// and stalled, which the next Tick's fetch-stall sleep covers.
 		return
 	}
 	wake := readyUnknown
-	var fs, si, wf, ss, cw uint64
+	var fs, si, wf, ss, cw, fp uint64
 	credit := false
 	// waker records that an external event is guaranteed to end the
 	// sleep (the gate's wake on partner completion), which permits
@@ -448,21 +509,28 @@ func (c *Core) armSleep(now sim.Cycle) {
 		wake = e.done
 	case c.gate != nil:
 		// Check stage. The gate classifies the wait without CommitReady's
-		// per-poll counter effects; the replay reproduces them.
+		// per-poll counter effects; the sleep's deltas reproduce them.
 		at, state := c.gate.CheckSleep(c.side, e.inst.Seq)
-		switch state {
-		case CheckWaitPartner:
+		switch {
+		case state == CheckWaitPartner:
 			cw = 1
 			waker = true
-		case CheckWaitRelease:
-			if at <= now+1 {
-				return
-			}
+		case state != CheckWaitRelease:
+			return // mismatch pending: the live poll must squash
+		case at > now+1:
 			wake = at
 			cw = 1
 			credit = true
+		case at <= now && e.inst.Class == isa.Store && !c.cfg.TSO &&
+			e.storeIssued && e.storeDone > now:
+			// A checked SC store writing through: every poll until
+			// storeDone passes the check (one gate poll credit and one
+			// fingerprint check) and stalls on the store.
+			wake = e.storeDone
+			ss, fp = 1, 1
+			credit = true
 		default:
-			return // mismatch pending: the live poll must squash
+			return // commit (or the store's write-through) starts next cycle
 		}
 	case e.inst.Class == isa.Store:
 		if c.cfg.TSO || !e.storeIssued || e.storeDone <= now {
@@ -512,13 +580,14 @@ func (c *Core) armSleep(now sim.Cycle) {
 		return
 	}
 	c.sleepUntil = wake
-	c.sleepFS, c.sleepSI, c.sleepWF, c.sleepSS = fs, si, wf, ss
-	c.sleepCW = cw
+	c.owedFrom = now + 1
+	c.sleepFS, c.sleepSI, c.sleepWF, c.sleepSS, c.sleepCW, c.sleepFP = fs, si, wf, ss, cw, fp
 	c.sleepCredit = credit
 }
 
 // --- commit --------------------------------------------------------------
 
+//mmm:hotpath
 func (c *Core) commit(now sim.Cycle) {
 	for n := 0; n < c.cfg.CommitWidth; n++ {
 		if c.count == 0 {
@@ -562,6 +631,8 @@ func (c *Core) commit(now sim.Cycle) {
 
 // postStore places a committed store's completion into the TSO store
 // buffer, reporting false when the buffer is full (commit must wait).
+//
+//mmm:hotpath
 func (c *Core) postStore(done, now sim.Cycle) bool {
 	// Drain completed entries.
 	kept := c.storeBuf[:0]
@@ -580,6 +651,8 @@ func (c *Core) postStore(done, now sim.Cycle) bool {
 
 // issueStore starts the write-through for the store at the head of the
 // window, consulting the PAB first when in performance mode.
+//
+//mmm:hotpath
 func (c *Core) issueStore(e *entry, now sim.Cycle) {
 	e.storeIssued = true
 	start := now
@@ -619,6 +692,8 @@ func (c *Core) issueStore(e *entry, now sim.Cycle) {
 
 // retire removes the head instruction from the window and updates
 // architectural counters.
+//
+//mmm:hotpath
 func (c *Core) retire(e *entry, now sim.Cycle) {
 	c.C.Commits++
 	if e.inst.Priv {
@@ -662,6 +737,7 @@ func (c *Core) retire(e *entry, now sim.Cycle) {
 
 // --- issue ---------------------------------------------------------------
 
+//mmm:hotpath
 func (c *Core) issue(now sim.Cycle) {
 	n := len(c.unissued)
 	if n == 0 {
@@ -773,6 +849,8 @@ func (c *Core) readySlow(idx int, oldest uint64, now sim.Cycle) bool {
 // execute models the execution of one instruction: functional units,
 // TLB, memory hierarchy, branch redirect, fault injection and
 // fingerprint generation.
+//
+//mmm:hotpath
 func (c *Core) execute(e *entry, now sim.Cycle) {
 	e.issued = true
 	switch e.inst.Class {
@@ -867,6 +945,7 @@ func (c *Core) translate(e *entry) sim.Cycle {
 
 // --- fetch ---------------------------------------------------------------
 
+//mmm:hotpath
 func (c *Core) fetch(now sim.Cycle) {
 	if c.fetchHold {
 		c.C.FetchStallCycles++
@@ -963,6 +1042,8 @@ func (c *Core) fetchLine(pc uint64, now sim.Cycle) sim.Cycle {
 }
 
 // insert places a fetched instruction into the window.
+//
+//mmm:hotpath
 func (c *Core) insert(in isa.Inst, now sim.Cycle) {
 	tail := (c.head + c.count) % len(c.win)
 	readyAt := sim.Cycle(0) // no producer: issuable immediately

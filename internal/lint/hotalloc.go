@@ -7,8 +7,10 @@ import (
 )
 
 // HotAlloc forbids per-call heap allocations inside functions annotated
-// //mmm:hotpath — the simulator's per-cycle loop (Chip.Run, Chip.Tick,
-// nextEventAt, policyDecide, pairStatus). A make, a map or slice
+// //mmm:hotpath — the simulator's per-cycle loop: the chip's Run, Tick,
+// nextEventAt, policyDecide and pairStatus, and the core's Tick,
+// settle, armSleep, commit, retire, postStore, issueStore, issue,
+// execute, fetch and insert. A make, a map or slice
 // literal, or an append whose result escapes its input slice inside one
 // of these functions runs millions of times per simulated second; the
 // `mmmgate bench` regression gate catches the throughput loss after the

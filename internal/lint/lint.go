@@ -20,7 +20,10 @@
 //   - knobcover: every field of an //mmm:knobcover-annotated struct is
 //     read by its fingerprint/key/seed coverage functions.
 //   - hotalloc:  no make/map/escaping-append allocations inside
-//     functions annotated //mmm:hotpath (the per-cycle loop).
+//     functions annotated //mmm:hotpath (the per-cycle loop: core.Chip's
+//     Run, Tick, nextEventAt, policyDecide and pairStatus; cpu.Core's
+//     Tick, settle, armSleep, commit, retire, postStore, issueStore,
+//     issue, execute, fetch and insert).
 //
 // Audited exceptions are declared in source with //mmm: directives
 // (see Suppressed); every directive requires a reason.
