@@ -37,9 +37,10 @@ type Source interface {
 // reports every completed instruction (Complete) and asks permission to
 // commit (CommitReady); the gate implementation (package reunion)
 // compares fingerprints and squashes both cores on a mismatch. A core
-// sleeps through Check-stage waits instead of polling CommitReady every
-// cycle: CheckSleep classifies the wait, and CreditWait replays the
-// per-poll counters the slept cycles would have incremented.
+// sleeps through Check-stage waits, and through a checked store's
+// write-through, instead of polling CommitReady every cycle: CheckSleep
+// classifies the wait, and CreditWait replays the per-poll counters the
+// slept cycles would have incremented.
 type Gate interface {
 	Complete(side int, seq uint64, done sim.Cycle, fp uint64)
 	CommitReady(side int, seq uint64, now sim.Cycle) (at sim.Cycle, ok bool)
@@ -48,7 +49,8 @@ type Gate interface {
 	// core for a wake call when the partner completes seq.
 	CheckSleep(side int, seq uint64) (at sim.Cycle, state int)
 	// CreditWait replays the per-poll Check-stage counters for n slept
-	// cycles of a CheckWaitRelease wait.
+	// cycles whose polls would have matched: a CheckWaitRelease wait,
+	// or the write-through of a store that passed the check.
 	CreditWait(n uint64)
 }
 
@@ -150,13 +152,13 @@ type Core struct {
 
 	// sleepUntil sleeps the whole pipeline walk: armSleep sets it when,
 	// at the end of a Tick, every stage is provably inert — commit
-	// blocked on a known completion cycle, the issue scan asleep, fetch
-	// stalled on a known or externally-released condition — and the
-	// empty-window fetch stall sets it directly. Until then a Tick only
-	// settles counters. readyUnknown means no deadline: an external wake
-	// (the partner's completion, Resume) ends the sleep. Any external
-	// mutation of pipeline state (source/gate changes, holds, resumes,
-	// blocks, squashes) clears it; 0 when awake.
+	// blocked on a known completion cycle (or the window empty), the
+	// issue scan asleep, fetch stalled on a known or externally-released
+	// condition. Until then a Tick only settles counters. readyUnknown
+	// means no deadline: an external wake (the partner's completion,
+	// Resume) ends the sleep. Any external mutation of pipeline state
+	// (source/gate changes, holds, resumes, blocks, squashes) clears it;
+	// 0 when awake.
 	sleepUntil sim.Cycle
 	// owedFrom is the first slept cycle whose counters are not charged
 	// yet (0: nothing owed). settle charges the span up to a given cycle
@@ -418,23 +420,6 @@ func (c *Core) Tick(now sim.Cycle) {
 	} else {
 		c.C.UserCycles++
 	}
-	// A fully stalled core: the window is empty and fetch cannot
-	// proceed (held for a mode transition, or blocked on a
-	// redirect/transition latency). Nothing can commit, issue or fetch
-	// until fetchBlockedUntil, or until Resume releases a hold; only the
-	// fetch stall counter advances — exactly what the full pipeline walk
-	// below would do. Sleep through it.
-	if c.count == 0 && (c.fetchHold || c.fetchBlockedUntil > now) {
-		c.C.FetchStallCycles++
-		c.sleepUntil = c.fetchBlockedUntil
-		if c.fetchHold {
-			c.sleepUntil = readyUnknown
-		}
-		c.owedFrom = now + 1
-		c.sleepFS, c.sleepSI, c.sleepWF, c.sleepSS, c.sleepCW, c.sleepFP = 1, 0, 0, 0, 0, 0
-		c.sleepCredit = false
-		return
-	}
 	c.commit(now)
 	c.issue(now)
 	c.fetch(now)
@@ -475,33 +460,33 @@ func (c *Core) settle(to sim.Cycle) {
 // exit on every cycle of the span, mutating nothing but its counters:
 // commit blocked on the head's known completion (or on an unissued head
 // that the sleeping issue scan cannot execute), on a Check-stage wait,
-// or on a checked SC store's write-through; issue asleep on
-// issueWakeAt; and fetch stalled on a hold, a known block cycle,
-// in-flight serializers, or a full window/load-store queue. The sleep
-// records the counters one such cycle increments, and settle charges
-// them. A Check-stage wait for the partner's execution sleeps with no
-// deadline (the gate wakes the core); a mismatch pending and the TSO
-// store buffer's per-cycle drain never sleep. External events that
-// could wake a stage early (Resume, BlockUntil, Squash, source/gate
-// changes) clear sleepUntil.
+// or on a checked SC store's write-through, or the window empty; issue
+// asleep on issueWakeAt; and fetch stalled on a hold, a known block
+// cycle, in-flight serializers, or a full window/load-store queue. The
+// sleep records the counters one such cycle increments, and settle
+// charges them. A Check-stage wait for the partner's execution and an
+// empty window's fetch hold sleep with no deadline (the gate's wake and
+// Resume end them); a mismatch pending and the TSO store buffer's
+// per-cycle drain never sleep. External events that could wake a stage
+// early (Resume, BlockUntil, Squash, source/gate changes) clear
+// sleepUntil.
 //
 //mmm:hotpath
 func (c *Core) armSleep(now sim.Cycle) {
-	if c.count == 0 {
-		// Either fetch is progressing (no sleep) or the window is empty
-		// and stalled, which the next Tick's fetch-stall sleep covers.
-		return
-	}
 	wake := readyUnknown
 	var fs, si, wf, ss, cw, fp uint64
 	credit := false
 	// waker records that an external event is guaranteed to end the
-	// sleep (the gate's wake on partner completion), which permits
-	// arming with no deadline.
+	// sleep (the gate's wake on partner completion, or Resume), which
+	// permits arming with no deadline.
 	waker := false
 	// Commit: the head entry must stay blocked for the whole span.
 	e := &c.win[c.head]
 	switch {
+	case c.count == 0:
+		// Nothing to commit or issue, so only fetch can end the stall;
+		// a fetch hold ends only by Resume, which wakes the core.
+		waker = c.fetchHold
 	case !e.issued:
 		// Only the (sleeping) issue scan can unblock it; the issue
 		// check below guarantees a finite wake in that case.

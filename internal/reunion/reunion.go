@@ -164,7 +164,8 @@ func (p *Pair) CheckSleep(side int, seq uint64) (sim.Cycle, int) {
 }
 
 // CreditWait replays the per-poll counters of n slept CommitReady polls
-// of a matched-and-waiting-for-the-link instruction (cpu.Gate).
+// of a matched instruction, waiting for the link or, for a store, for
+// its write-through (cpu.Gate).
 func (p *Pair) CreditWait(n uint64) {
 	p.Checks += n
 	p.link.Sent += n
