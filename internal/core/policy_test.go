@@ -201,3 +201,32 @@ func TestKindJSONRoundTrip(t *testing.T) {
 		t.Error("unknown kind marshaled")
 	}
 }
+
+// FuzzParseKind: ParseKind and the Kind JSON pair never panic. A parsed
+// kind is a known kind that marshals and unmarshals to itself, and
+// UnmarshalJSON of any bytes yields an error or a known kind.
+func FuzzParseKind(f *testing.F) {
+	for _, k := range AllKinds() {
+		f.Add(k.String())
+		f.Add(`"` + k.String() + `"`)
+	}
+	for _, s := range []string{"no-dmr-2x", " Single-OS ", "mmm-ipc", "nope", "", `""`, "4", `"MMM-TP"`, `"MMM-IPC`} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if k, err := ParseKind(s); err == nil {
+			data, err := k.MarshalJSON()
+			if err != nil {
+				t.Fatalf("ParseKind(%q) = %d, which does not marshal: %v", s, int(k), err)
+			}
+			var back Kind
+			if err := back.UnmarshalJSON(data); err != nil || back != k {
+				t.Fatalf("ParseKind(%q) = %v, but %s unmarshals to %v, %v", s, k, data, back, err)
+			}
+		}
+		var k Kind
+		if err := k.UnmarshalJSON([]byte(s)); err == nil && k.String() == "?" {
+			t.Fatalf("UnmarshalJSON(%q) accepted unknown kind %d", s, int(k))
+		}
+	})
+}

@@ -260,6 +260,42 @@ func TestChromeTrace(t *testing.T) {
 	}
 }
 
+// FuzzParseExposition: the strict exposition parser returns an error or
+// families for any input, and never panics. The corpus starts from the
+// registry's own output (a counter, a labelled counter and a histogram)
+// plus the rejection cases above.
+func FuzzParseExposition(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("runs_total", "Runs.").Add(3)
+	r.Counter("jobs_total", "Jobs.", "kind", "mmm-ipc").Inc()
+	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1})
+	h.Observe(0.5)
+	h.Observe(100)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	for _, s := range []string{
+		"metric_name\n", "m{le=} 3\n", "# TYPE m counter\n# TYPE m gauge\nm 1\n",
+		"m_bucket{le=\"1\"} 2\n", "m{a=\"b\\\"c\"} 4 1700000000\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, page string) {
+		fams, err := ParseExposition(strings.NewReader(page))
+		if err != nil {
+			return
+		}
+		for name, fam := range fams {
+			if fam == nil || fam.Name != name {
+				t.Fatalf("family %q recorded as %+v", name, fam)
+			}
+		}
+		TotalSeries(fams)
+	})
+}
+
 // TestParseExpositionRejects spot-checks the strict-parser failure
 // modes CI relies on.
 func TestParseExpositionRejects(t *testing.T) {
