@@ -309,10 +309,8 @@ func (c *Chip) Run(n sim.Cycle) {
 		start := c.Now
 		c.transDirty = false
 		for c.Now < horizon {
-			// A sleeping core is skipped until its wake cycle; it
-			// settles the skipped cycles when next ticked or read. When
-			// every active core sleeps, the clock jumps to the earliest
-			// wake: no core could change any state before it.
+			// next ends at now+1 if any core ticked, else at the earliest
+			// wake: with every core asleep, nothing changes before it.
 			now := c.Now
 			next := horizon
 			for _, core := range c.active {
