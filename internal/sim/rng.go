@@ -42,6 +42,8 @@ func (r *Rand) Snapshot() uint64 { return r.state }
 func (r *Rand) Restore(s uint64) { r.state = s }
 
 // Next returns the next 64 uniformly distributed bits.
+//
+//mmm:hotpath
 func (r *Rand) Next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
@@ -51,6 +53,8 @@ func (r *Rand) Next() uint64 {
 }
 
 // Intn returns a uniform integer in [0, n). n must be positive.
+//
+//mmm:hotpath
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
@@ -59,6 +63,8 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Uint64n returns a uniform integer in [0, n). n must be positive.
+//
+//mmm:hotpath
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("sim: Uint64n with zero n")
@@ -67,11 +73,15 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 }
 
 // Float64 returns a uniform float in [0, 1).
+//
+//mmm:hotpath
 func (r *Rand) Float64() float64 {
 	return float64(r.Next()>>11) / float64(1<<53)
 }
 
 // Bool returns true with probability p.
+//
+//mmm:hotpath
 func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
@@ -81,6 +91,8 @@ func (r *Rand) Bool(p float64) bool {
 // distribution so that run-to-run variance at realistic simulation
 // lengths stays small (the paper smooths its heavy-tailed phases over
 // 100M-cycle runs; our windows are shorter).
+//
+//mmm:hotpath
 func (r *Rand) Around(mean float64) int {
 	if mean <= 1 {
 		return 1
@@ -141,6 +153,8 @@ func StreamCheck() string {
 // given mean (at least 1). It is used for phase lengths and dependency
 // distances, which the paper's workloads exhibit as heavy-tailed
 // interleavings.
+//
+//mmm:hotpath
 func (r *Rand) Geometric(mean float64) int {
 	if mean <= 1 {
 		return 1

@@ -51,14 +51,20 @@ func newHotSet(capacity int) *hotSet {
 	return &hotSet{lines: make([]uint64, capacity)}
 }
 
+//mmm:hotpath
 func (h *hotSet) push(la uint64) {
 	h.lines[h.next] = la
-	h.next = (h.next + 1) % len(h.lines)
+	// Increment and reset rather than %: the same index sequence
+	// without a 64-bit division on every push.
+	if h.next++; h.next == len(h.lines) {
+		h.next = 0
+	}
 	if h.n < len(h.lines) {
 		h.n++
 	}
 }
 
+//mmm:hotpath
 func (h *hotSet) pick(r *sim.Rand) (uint64, bool) {
 	if h.n == 0 {
 		return 0, false
@@ -170,6 +176,8 @@ func NewInGuest(p *workload.Params, seed uint64, gs *GuestState) *Gen {
 }
 
 // Next returns the next dynamic instruction.
+//
+//mmm:hotpath
 func (g *Gen) Next() isa.Inst {
 	g.seq++
 	var in isa.Inst
@@ -193,6 +201,8 @@ func (g *Gen) Next() isa.Inst {
 
 // phaseSwitch emits the trap-enter or trap-return marking a transition
 // between user and OS execution.
+//
+//mmm:hotpath
 func (g *Gen) phaseSwitch() isa.Inst {
 	in := isa.Inst{Seq: g.seq, PC: g.pc, Result: g.rng.Next()}
 	if !g.inOS {
@@ -212,6 +222,8 @@ func (g *Gen) phaseSwitch() isa.Inst {
 }
 
 // gen emits one ordinary instruction in the current phase.
+//
+//mmm:hotpath
 func (g *Gen) gen(os bool) isa.Inst {
 	p := g.p
 	g.advancePC(os)
@@ -257,6 +269,8 @@ func (g *Gen) gen(os bool) isa.Inst {
 // a hot line (the L1-resident loop working set, probability ICHotFrac),
 // a warm line (the L2/L3-resident function working set), or — rarely —
 // a cold line anywhere in the code footprint.
+//
+//mmm:hotpath
 func (g *Gen) advancePC(os bool) {
 	if g.lineRun > 0 {
 		g.lineRun--
@@ -295,6 +309,8 @@ func (g *Gen) advancePC(os bool) {
 // footprint). Cold lines promote into the warm set; warm picks promote
 // into the hot set, so the working set drifts slowly the way real heap
 // and buffer-pool accesses do.
+//
+//mmm:hotpath
 func (g *Gen) dataAddr(os, isStore bool) uint64 {
 	p := g.p
 	off := g.rng.Uint64n(lineBytes/8) * 8
