@@ -177,9 +177,19 @@ func (s *server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// maxSubmitBytes caps a submission's body. A real submission is well
+// under a kilobyte; the cap stops an untrusted client from making the
+// service decode an arbitrarily large one.
+const maxSubmitBytes = 1 << 20
+
 func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var body api.SubmitRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSubmitBytes)).Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxSubmitBytes)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

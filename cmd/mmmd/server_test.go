@@ -113,6 +113,31 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitBoundsUntrustedSpecs: a submission expanding past
+// campaign.MaxJobs answers 400 naming the limit and registers no run,
+// and an oversized body is refused before it is decoded.
+func TestSubmitBoundsUntrustedSpecs(t *testing.T) {
+	ts := testService(t)
+	seeds := make([]string, campaign.MaxJobs/3+1)
+	for i := range seeds {
+		seeds[i] = fmt.Sprint(i + 1)
+	}
+	overLimit := `{"name":"figure5","workloads":["apache"],"seeds":[` + strings.Join(seeds, ",") + `]}`
+	code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", overLimit)
+	if code != http.StatusBadRequest || !bytes.Contains(data, []byte(fmt.Sprint(campaign.MaxJobs))) {
+		t.Fatalf("over-limit submit: %d %s, want 400 naming %d", code, data, campaign.MaxJobs)
+	}
+	huge := `{"name":"figure5","seeds":[` + strings.Repeat("1,", maxSubmitBytes/2) + `1]}`
+	if code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d %s, want 413", code, data)
+	}
+	code, data = do(t, http.MethodGet, ts.URL+"/v1/campaigns", "")
+	var list api.RunList
+	if err := json.Unmarshal(data, &list); code != http.StatusOK || err != nil || len(list.Campaigns) != 0 {
+		t.Fatalf("refused submissions registered runs: %d %s", code, data)
+	}
+}
+
 func TestSubmitRunFetchAndCachedResubmit(t *testing.T) {
 	ts := testService(t)
 

@@ -275,11 +275,17 @@ func FaultJobs(workloads []string, seeds []uint64, meanInterval float64) []Job {
 
 // Named resolves a registered campaign name into its spec. Empty
 // workloads or seeds select the defaults (all six workloads, seeds
-// {11, 23}).
+// {11, 23}); more workload-seed pairs than MaxJobs are refused.
 func Named(name string, workloads []string, seeds []uint64) (Spec, error) {
 	b, ok := builders[name]
 	if !ok {
 		return Spec{}, fmt.Errorf("campaign: unknown campaign %q (have %v)", name, Names())
+	}
+	// Every campaign runs each (workload, seed) pair at least once, and
+	// the explicit-job builders allocate their lists here, before
+	// Expand could refuse them.
+	if err := checkJobs(name, max(len(workloads), 1), max(len(seeds), 1)); err != nil {
+		return Spec{}, err
 	}
 	return b(workloads, seeds), nil
 }

@@ -65,12 +65,36 @@ type Spec struct {
 	Precision *Precision `json:"precision,omitempty"`
 }
 
+// MaxJobs bounds the jobs one spec may expand to, counted before
+// duplicates are removed. The largest registered campaign expands to
+// 144 jobs at its default axes; the bound stops a submitted spec from
+// allocating an arbitrarily large cross product.
+const MaxJobs = 1 << 16
+
+// checkJobs refuses a spec whose expansion, the product of the axis
+// lengths lens (each at least 1), exceeds MaxJobs. It never forms a
+// product past MaxJobs, so it cannot overflow.
+func checkJobs(name string, lens ...int) error {
+	n := 1
+	for _, l := range lens {
+		if n > MaxJobs/l {
+			return fmt.Errorf("campaign: spec %q expands to more than %d jobs, the most one spec may run", name, MaxJobs)
+		}
+		n *= l
+	}
+	return nil
+}
+
 // Expand produces the deterministic job set of the spec: the same spec
 // always expands to the same jobs in the same order, with duplicate
 // cells removed. Axes left empty default to all workloads, the
-// two-seed default, and the single default variant.
+// two-seed default, and the single default variant. A spec over
+// MaxJobs is refused before anything is allocated.
 func (s Spec) Expand() ([]Job, error) {
 	if len(s.Jobs) > 0 {
+		if err := checkJobs(s.Name, len(s.Jobs), max(len(s.Policies), 1)); err != nil {
+			return nil, err
+		}
 		return dedupe(applyPolicies(s.Jobs, s.Policies))
 	}
 	if len(s.Kinds) == 0 {
@@ -91,6 +115,9 @@ func (s Spec) Expand() ([]Job, error) {
 	policies := s.Policies
 	if len(policies) == 0 {
 		policies = []string{""}
+	}
+	if err := checkJobs(s.Name, len(wls), len(s.Kinds), len(variants), len(policies), len(seeds)); err != nil {
+		return nil, err
 	}
 	var jobs []Job
 	for _, wl := range wls {
