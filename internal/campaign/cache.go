@@ -125,7 +125,7 @@ func (c *CountingCache) Stats() (hits, misses, puts uint64) {
 
 // diskMemBudget bounds the encoded size of the entries a DiskCache
 // keeps decoded in memory. A quick-scale performance cell encodes to
-// about 1.5 KB, so the budget holds tens of thousands of them while
+// about 1.4 KB, so the budget holds tens of thousands of them while
 // bounding a long-lived service.
 const diskMemBudget = 64 << 20
 
@@ -136,12 +136,13 @@ const diskMemBudget = 64 << 20
 // temp file plus rename so concurrent writers and readers never see a
 // torn entry.
 //
-// Get reads and decodes an entry's file once per process: it keeps
+// Get reads and decodes an entry's file the first time only: it keeps
 // what it decoded in a memory tier and serves later Gets of the key
 // from there. A key always names the same deterministic result, so a
 // kept copy never goes stale. The tier holds only entries decoded
 // successfully from disk (a corrupt or missing entry stays a miss),
-// Put drops the key's kept copy, and diskMemBudget bounds the tier.
+// Put drops the key's kept copy, and diskMemBudget bounds the tier;
+// an entry the tier let go of is read from disk again.
 type DiskCache struct {
 	dir string
 	mem *MemCache

@@ -275,16 +275,18 @@ func FaultJobs(workloads []string, seeds []uint64, meanInterval float64) []Job {
 
 // Named resolves a registered campaign name into its spec. Empty
 // workloads or seeds select the defaults (all six workloads, seeds
-// {11, 23}); more workload-seed pairs than MaxJobs are refused.
+// {11, 23}). Axes that would build more than MaxJobs jobs are refused
+// before any job list is allocated.
 func Named(name string, workloads []string, seeds []uint64) (Spec, error) {
 	b, ok := builders[name]
 	if !ok {
 		return Spec{}, fmt.Errorf("campaign: unknown campaign %q (have %v)", name, Names())
 	}
-	// Every campaign runs each (workload, seed) pair at least once, and
-	// the explicit-job builders allocate their lists here, before
-	// Expand could refuse them.
-	if err := checkJobs(name, max(len(workloads), 1), max(len(seeds), 1)); err != nil {
+	// The explicit-job builders (relia, faults) allocate their whole
+	// job list right here, before Expand could refuse it, so size it
+	// first from the jobs of one (workload, seed) pair.
+	perPair := max(len(b(workload.Names()[:1], []uint64{0}).Jobs), 1)
+	if err := checkJobs(name, perPair, max(len(workloads), 1), max(len(seeds), 1)); err != nil {
 		return Spec{}, err
 	}
 	return b(workloads, seeds), nil

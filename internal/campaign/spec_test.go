@@ -12,8 +12,8 @@ import (
 
 // TestSpecExpandLimit: a spec expanding past MaxJobs, as a cross
 // product or as explicit jobs times policies, is refused with an error
-// naming the limit, and so is a Named campaign with more
-// workload-seed pairs than the limit; a spec at the limit expands.
+// naming the limit, and so is a Named campaign whose axes would build
+// more jobs than that; a spec at the limit expands.
 func TestSpecExpandLimit(t *testing.T) {
 	seeds := func(n int) []uint64 {
 		out := make([]uint64, n)
@@ -42,8 +42,15 @@ func TestSpecExpandLimit(t *testing.T) {
 			t.Errorf("spec %q over the limit: Cells accepted it", s.Name)
 		}
 	}
-	if _, err := Named("relia", []string{"apache", "pmake"}, seeds(MaxJobs/2+1)); err == nil || !strings.Contains(err.Error(), limit) {
+	// relia builds 12 jobs per workload-seed pair, so these axes are
+	// over the limit although their pairs are not; Named must refuse
+	// them before the builder allocates the list.
+	wls, many := []string{"apache", "pmake"}, seeds(MaxJobs/24+1)
+	if _, err := Named("relia", wls, many); err == nil || !strings.Contains(err.Error(), limit) {
 		t.Errorf("Named over the limit: err %v, want one naming %s", err, limit)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { _, _ = Named("relia", wls, many) }); allocs > 1000 {
+		t.Errorf("refusing an over-limit Named campaign made %.0f allocations", allocs)
 	}
 	if err := checkJobs("overflow", 1<<40, 1<<40, 1<<40); err == nil {
 		t.Error("checkJobs accepted a product past the int range")
