@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -33,9 +34,12 @@ type interval struct{ lo, hi float64 }
 
 func (a interval) overlaps(b interval) bool { return a.lo <= b.hi && b.lo <= a.hi }
 
-// row is one (mode, rate) line of the reliability table: the result-
-// and TLB-coverage intervals, in column order.
-type row struct{ result, tlb interval }
+// row is one (mode, rate) line of the reliability table: its trials
+// count and the result- and TLB-coverage intervals, in column order.
+type row struct {
+	trials      int
+	result, tlb interval
+}
 
 // reliaTable is one run's parsed reliability table.
 type reliaTable struct {
@@ -76,7 +80,10 @@ func parseTable(text string) (reliaTable, error) {
 		if _, dup := t.rows[key]; dup {
 			return t, fmt.Errorf("duplicate row %q", key)
 		}
-		t.rows[key] = row{result: iv[0], tlb: iv[1]}
+		if n > math.MaxInt-t.trials {
+			return t, fmt.Errorf("trials count %d in row %q overflows the table's total", n, key)
+		}
+		t.rows[key] = row{trials: n, result: iv[0], tlb: iv[1]}
 		t.trials += n
 	}
 	if len(t.rows) == 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -90,4 +91,57 @@ func TestParseTableRejectsGarbage(t *testing.T) {
 	if _, err := parseTable("no intervals anywhere\n"); err == nil {
 		t.Fatal("parseTable accepted interval-free text")
 	}
+}
+
+// overflowTable's trials column sums past the largest int: three rows
+// of 9223372036854775807 trials wrapped to 9223372036854775805, and the
+// gate then reported a 100% saving against a 3-trial adaptive table.
+const overflowTable = `mode         rate   trials               faults  result(cov)          tlb(cov)
+performance  25000  9223372036854775807  392     0.000 [0.000,0.026]  0.115 [0.054,0.230]
+dmr          25000  9223372036854775807  420     1.000 [0.983,1.000]  0.948 [0.885,0.978]
+mixed        25000  9223372036854775807  408     0.776 [0.748,0.802]  0.772 [0.701,0.831]
+`
+
+func TestParseTableRejectsTrialOverflow(t *testing.T) {
+	_, err := parseTable(overflowTable)
+	if err == nil || !strings.Contains(err.Error(), "dmr@25000") || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("err = %v, want an overflow error naming row dmr@25000", err)
+	}
+}
+
+// FuzzParseTable: on any input the parser returns an error, or a table
+// whose total is the sum of its rows' trials counts, every interval
+// ordered. It never panics.
+func FuzzParseTable(f *testing.F) {
+	for _, seed := range []string{
+		fixedTable,
+		adaptiveTable,
+		overflowTable,
+		"no intervals anywhere\n",
+		strings.Replace(adaptiveTable, "96 ", "x6 ", 1),
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		tb, err := parseTable(text)
+		if err != nil {
+			return
+		}
+		sum := 0
+		for key, r := range tb.rows {
+			if r.trials < 0 || sum > math.MaxInt-r.trials {
+				t.Fatalf("row %q: trials %d, running sum %d", key, r.trials, sum)
+			}
+			sum += r.trials
+			for _, iv := range []interval{r.result, r.tlb} {
+				if !(iv.lo <= iv.hi) {
+					t.Fatalf("row %q: interval [%g,%g] out of order", key, iv.lo, iv.hi)
+				}
+			}
+		}
+		if sum != tb.trials {
+			t.Fatalf("total %d, rows sum to %d", tb.trials, sum)
+		}
+	})
 }

@@ -360,8 +360,7 @@ func (b *board) idleFor(now time.Time) time.Duration {
 
 func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
 	var lr api.LeaseRequest
-	if err := json.NewDecoder(req.Body).Decode(&lr); err != nil {
-		httpErrorJSON(w, http.StatusBadRequest, "bad lease request: %v", err)
+	if !decodeBody(w, req, maxControlBody, "lease request", &lr) {
 		return
 	}
 	if lr.Check != b.check {
@@ -398,8 +397,7 @@ func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
 
 func (b *board) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	var hr api.HeartbeatRequest
-	if err := json.NewDecoder(req.Body).Decode(&hr); err != nil {
-		httpErrorJSON(w, http.StatusBadRequest, "bad heartbeat: %v", err)
+	if !decodeBody(w, req, maxControlBody, "heartbeat", &hr) {
 		return
 	}
 	b.mu.Lock()
@@ -416,8 +414,7 @@ func (b *board) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 
 func (b *board) handleComplete(w http.ResponseWriter, req *http.Request) {
 	var cr api.CompleteRequest
-	if err := json.NewDecoder(req.Body).Decode(&cr); err != nil {
-		httpErrorJSON(w, http.StatusBadRequest, "bad completion: %v", err)
+	if !decodeBody(w, req, maxCompletionBody, "completion", &cr) {
 		return
 	}
 	b.mu.Lock()
@@ -581,4 +578,31 @@ func writeJSONTo(w http.ResponseWriter, code int, v any) {
 
 func httpErrorJSON(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSONTo(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// Fleet request bodies are bounded, so a peer cannot make the
+// coordinator or a worker decode an arbitrarily large one. Lease,
+// heartbeat and attach requests are a few hundred bytes.
+const maxControlBody = 16 << 10
+
+// maxCompletionBody caps a completion, the one fleet body that carries
+// a job's Metrics. MAXCOMPLETION
+const maxCompletionBody = 1 << 20
+
+// decodeBody decodes req's JSON body into v, reading at most limit
+// bytes. A longer body answers 413 and any other decode error 400, both
+// naming what the body was; decodeBody reports whether v holds the
+// request.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpErrorJSON(w, http.StatusRequestEntityTooLarge, "%s body over %d bytes", what, limit)
+		return false
+	}
+	httpErrorJSON(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	return false
 }

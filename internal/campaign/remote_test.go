@@ -624,3 +624,78 @@ func TestParseWorkerList(t *testing.T) {
 		t.Fatal("empty list should be nil")
 	}
 }
+
+// postRaw posts body verbatim and returns the status code.
+func postRaw(t *testing.T, url string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestFleetBodiesBounded: a lease, heartbeat, completion or attach body
+// past its cap answers 413 and changes nothing — no lease granted, no
+// lease ended, no attachment — while a real completion still merges.
+func TestFleetBodiesBounded(t *testing.T) {
+	jobs := determinismJobs(t)[:1]
+	b, ts := boardFixture(t, jobs, time.Minute, 2)
+	pad := strings.Repeat("x", maxControlBody)
+
+	big, _ := json.Marshal(api.LeaseRequest{Worker: pad, Check: protocolCheck()})
+	if code := postRaw(t, ts.URL+"/lease", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized lease: %d, want 413", code)
+	}
+	if got := b.liveLeases(); got != 0 {
+		t.Fatalf("oversized lease request granted %d leases", got)
+	}
+
+	var lr api.LeaseResponse
+	code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()})
+	if code != http.StatusOK || json.Unmarshal(body, &lr) != nil {
+		t.Fatalf("lease: %d %s", code, body)
+	}
+	big, _ = json.Marshal(api.HeartbeatRequest{LeaseID: lr.LeaseID + pad})
+	if code := postRaw(t, ts.URL+"/heartbeat", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized heartbeat: %d, want 413", code)
+	}
+	big, _ = json.Marshal(api.CompleteRequest{
+		LeaseID: lr.LeaseID, Worker: "w1", Fingerprint: lr.Fingerprint,
+		Metrics: &core.Metrics{Kind: lr.Job.Kind, Workload: strings.Repeat("x", maxCompletionBody)},
+	})
+	if code := postRaw(t, ts.URL+"/complete", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized completion: %d, want 413", code)
+	}
+	if live, done := b.liveLeases(), boardDone(b); live != 1 || done != 0 {
+		t.Fatalf("after oversized bodies: %d live leases, %d done; want the lease live and nothing done", live, done)
+	}
+
+	m, err := runJob(lr.Scale, lr.Job, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
+		LeaseID: lr.LeaseID, Worker: "w1", Fingerprint: lr.Fingerprint, Metrics: &m,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("real completion: %d %s", code, body)
+	}
+	rs, err := b.result(context.Background(), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Results) != 1 || rs.Results[0].Metrics.Cycles != m.Cycles || rs.Results[0].Metrics.Core != m.Core {
+		t.Fatalf("merged result %+v, want the completed metrics", rs.Results)
+	}
+
+	w, wts := startWorker(t, "w1", 1, nil)
+	big, _ = json.Marshal(api.AttachRequest{Coordinator: ts.URL + "/" + pad, Check: protocolCheck()})
+	if code := postRaw(t, wts.URL+"/v1/attach", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized attach: %d, want 413", code)
+	}
+	if st := w.Stats(); st.Attachments != 0 || st.AttachTotal != 0 {
+		t.Fatalf("oversized attach attached the worker: %+v", st)
+	}
+}

@@ -135,8 +135,7 @@ func (w *Worker) Stats() WorkerStats {
 
 func (w *Worker) handleAttach(rw http.ResponseWriter, req *http.Request) {
 	var ar api.AttachRequest
-	if err := json.NewDecoder(req.Body).Decode(&ar); err != nil {
-		httpErrorJSON(rw, http.StatusBadRequest, "bad attach request: %v", err)
+	if !decodeBody(rw, req, maxControlBody, "attach request", &ar) {
 		return
 	}
 	if err := w.Attach(ar.Coordinator, ar.Check); err != nil {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -190,19 +191,23 @@ func TestRunSplitMatchesSingleRun(t *testing.T) {
 }
 
 // BenchmarkNewSystem tracks chip-construction cost (PAT sync, page
-// tables, cache arrays): campaign workers and relia trial batches build
-// thousands of short-lived chips, so construction is part of the hot
-// path.
+// tables, generators, cache arrays): campaign workers and relia trial
+// batches build thousands of short-lived chips, so construction is part
+// of the hot path. It builds them as trials do: through one
+// cache.Recycler, releasing each chip before the next is built.
 func BenchmarkNewSystem(b *testing.B) {
 	wl, err := workload.ByName("apache")
 	if err != nil {
 		b.Fatal(err)
 	}
+	rec := cache.NewRecycler()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSystem(Options{Kind: KindMMMIPC, Workload: wl, Seed: 11}); err != nil {
+		chip, err := NewSystem(Options{Kind: KindMMMIPC, Workload: wl, Seed: 11, Recycler: rec})
+		if err != nil {
 			b.Fatal(err)
 		}
+		chip.Release()
 	}
 }
 

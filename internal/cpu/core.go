@@ -36,7 +36,10 @@ type Source interface {
 // Gate couples the two cores of a DMR pair at the Check stage. The core
 // reports every completed instruction (Complete) and asks permission to
 // commit (CommitReady); the gate implementation (package reunion)
-// compares fingerprints and squashes both cores on a mismatch. A core
+// compares fingerprints and squashes both cores on a mismatch. The
+// fingerprint a core reports is relative to the fault-free hash of the
+// instruction (checkFingerprint), so a gate may only compare the two
+// sides' fingerprints of one instruction, and only for equality. A core
 // sleeps through Check-stage waits, and through a checked store's
 // write-through, instead of polling CommitReady every cycle: CheckSleep
 // classifies the wait, and CreditWait replays the per-poll counters the
@@ -881,25 +884,8 @@ func (c *Core) execute(e *entry, now sim.Cycle) {
 	c.histDone[h] = e.done
 
 	if c.gate != nil {
-		// A pending transient fault corrupts this execution's result.
-		// The window keeps the architecturally correct instruction, so
-		// re-execution after a squash computes the correct fingerprint
-		// — exactly the transient-fault recovery model.
-		fp := e.inst.FP
-		if c.faultFlip != 0 {
-			corrupted := e.inst
-			corrupted.Result ^= c.faultFlip
-			fp = corrupted.Fingerprint()
-			c.faultFlip = 0
-		}
-		// Reunion fingerprints cover memory access addresses as well as
-		// register updates: fold the translated physical address in, so
-		// a corrupted translation on either side of the pair diverges
-		// the fingerprints and is detected at the Check stage.
-		if e.inst.Class == isa.Load || e.inst.Class == isa.Store {
-			fp ^= (e.pa + 0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
-		}
-		c.gate.Complete(c.side, e.inst.Seq, e.done, fp)
+		c.gate.Complete(c.side, e.inst.Seq, e.done, checkFingerprint(&e.inst, c.faultFlip, e.pa))
+		c.faultFlip = 0
 	} else if c.faultFlip != 0 {
 		// Unprotected execution: the corruption lands silently (no
 		// fingerprint comparison exists to catch it).
@@ -909,6 +895,43 @@ func (c *Core) execute(e *entry, now sim.Cycle) {
 			c.OnSilentFault(c, now)
 		}
 	}
+}
+
+// checkFingerprint is what a DMR core sends the Check stage for one
+// execution of in: its fingerprint XOR the fault-free hash of in.
+//
+// A pending transient fault (flip != 0) corrupts this execution's
+// result. The window keeps the architecturally correct instruction, so
+// re-execution after a squash computes the correct fingerprint — exactly
+// the transient-fault recovery model. Reunion fingerprints cover memory
+// access addresses as well as register updates: the translated physical
+// address pa is folded in, so a corrupted translation on either side of
+// the pair diverges the fingerprints and is detected at the Check stage.
+//
+// Sending the difference from the fault-free hash is exact because the
+// Check stage only ever compares the two sides' values for one sequence
+// number, and within one binding both come from the same stream position
+// — the same in (see package reunion). XOR-ing both with the same H(in)
+// changes no comparison, and a fault-free execution, almost every one,
+// hashes nothing.
+//
+//mmm:hotpath
+func checkFingerprint(in *isa.Inst, flip, pa uint64) (fp uint64) {
+	if in.Class.IsMem() {
+		fp = (pa + 0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
+	}
+	if flip != 0 {
+		fp ^= corruptionDelta(in, flip)
+	}
+	return fp
+}
+
+// corruptionDelta returns the fingerprint of in with flip applied to
+// its result, XOR the fingerprint of in.
+func corruptionDelta(in *isa.Inst, flip uint64) uint64 {
+	corrupted := *in
+	corrupted.Result ^= flip
+	return corrupted.Fingerprint() ^ in.Fingerprint()
 }
 
 // translate runs the TLB for a memory instruction, returning extra

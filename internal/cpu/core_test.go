@@ -314,3 +314,69 @@ func TestWindowOccupancyBounded(t *testing.T) {
 		t.Fatal("window never filled behind dependent divides")
 	}
 }
+
+// TestCheckFingerprintComparesLikeFullHash: for random instructions,
+// flip masks on either side (zero included) and physical addresses,
+// comparing the two sides' checkFingerprint values gives the same
+// outcome as comparing full fingerprints of what each side executed.
+func TestCheckFingerprintComparesLikeFullHash(t *testing.T) {
+	full := func(in isa.Inst, flip, pa uint64) uint64 {
+		in.Result ^= flip
+		fp := in.Fingerprint()
+		if in.Class == isa.Load || in.Class == isa.Store {
+			fp ^= (pa + 0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
+		}
+		return fp
+	}
+	r := sim.NewRand(19)
+	flip := func() uint64 {
+		switch r.Intn(3) {
+		case 0:
+			return 0
+		case 1:
+			return 1 << r.Intn(64)
+		default:
+			return r.Next()
+		}
+	}
+	mismatches := 0
+	for i := 0; i < 200_000; i++ {
+		in := isa.Inst{
+			Seq:    r.Next(),
+			PC:     r.Next(),
+			Class:  isa.Class(r.Intn(int(isa.Nop) + 1)),
+			VA:     r.Next(),
+			Dep:    uint8(r.Intn(49)),
+			Priv:   r.Bool(0.5),
+			Taken:  r.Bool(0.5),
+			Misp:   r.Bool(0.1),
+			Result: r.Next(),
+		}
+		fa, fb := flip(), flip()
+		if r.Bool(0.3) {
+			fb = fa
+		}
+		pa, pb := r.Next(), r.Next()
+		switch r.Intn(3) {
+		case 0:
+			pb = pa
+		case 1:
+			pb = pa ^ 1<<r.Intn(64)
+		}
+		want := full(in, fa, pa) != full(in, fb, pb)
+		if got := checkFingerprint(&in, fa, pa) != checkFingerprint(&in, fb, pb); got != want {
+			t.Fatalf("%+v, flips %#x/%#x, pa %#x/%#x: delta mismatch %v, full mismatch %v",
+				in, fa, fb, pa, pb, got, want)
+		}
+		if want {
+			mismatches++
+		}
+	}
+	if mismatches == 0 || mismatches == 200_000 {
+		t.Fatalf("%d of 200000 comparisons mismatched: the sample does not exercise both outcomes", mismatches)
+	}
+	clean := isa.Inst{Class: isa.ALU, Result: 7}
+	if checkFingerprint(&clean, 0, 123) != 0 {
+		t.Fatal("a fault-free non-memory execution sent a nonzero fingerprint")
+	}
+}

@@ -115,12 +115,6 @@ type Inst struct {
 	// generator fills in a deterministic pseudo-value; fault injection
 	// flips bits in it to model computation errors.
 	Result uint64
-	// FP caches Fingerprint() over the fault-free instruction, computed
-	// once at generation: both cores of a DMR pair (and every
-	// re-execution after a squash) hash the identical architectural
-	// outputs, so the Check stage reads the cache instead of re-hashing.
-	// Fault-corrupted executions recompute from the corrupted copy.
-	FP uint64
 }
 
 // Fingerprint hashes the architecturally visible outputs of the

@@ -10,12 +10,14 @@ import (
 // //mmm:hotpath — the simulator's per-cycle loop: the chip's Run, Tick,
 // nextEventAt, policyDecide and pairStatus, and the core's Tick,
 // settle, armSleep, commit, retire, postStore, issueStore, issue,
-// execute, fetch and insert — and the per-instruction generator that
-// feeds it: trace's Gen.Next, phaseSwitch, gen, advancePC, dataAddr,
-// hotSet.push and hotSet.pick, Shared.Peek, Consume and trim, and
-// SideSource.Peek and Consume; sim.Rand's Next, Intn, Uint64n,
-// Float64, Bool, Around and Geometric; and isa's Inst.Fingerprint and
-// fnvMix. A make, a map or slice
+// execute, fetch and insert, and cpu's checkFingerprint — and the
+// per-instruction generator that feeds it: trace's Gen.Next,
+// phaseSwitch, gen, advancePC, dataAddr, hotSet.push, hotSet.at and
+// hotSet.pick, Shared.Peek, Consume and trim, and SideSource.Peek and
+// Consume; sim.Rand's Next, Intn, Uint64n, Float64, Bool, Around and
+// Geometric, and sim's OutputAt and mix (the stream-reading helpers
+// hotSet.at computes a ring's pre-fill with); and isa's
+// Inst.Fingerprint and fnvMix. A make, a map or slice
 // literal, or an append whose result escapes its input slice inside one
 // of these functions runs millions of times per simulated second; the
 // `mmmgate bench` regression gate catches the throughput loss after the

@@ -199,3 +199,28 @@ func TestCoverage(t *testing.T) {
 	}
 	_ = pm
 }
+
+// TestSyncMatchesLayout: a PAT synced from a layout marks exactly the
+// performance-owned pages writable — the allocated prefix page by page,
+// and every free page above it reliable-only — checked against a dense
+// per-page copy of the layout.
+func TestSyncMatchesLayout(t *testing.T) {
+	_, pm, tab, _ := rig(t)
+	owner := make([]paging.Domain, pm.Pages()) // zero: DomainSystem
+	r := sim.NewRand(3)
+	for i := 0; i < 300; i++ {
+		n := 1 + r.Uint64n(200)
+		d := paging.Domain(r.Intn(4))
+		first := pm.Alloc(n, d, i%5)
+		for p := first; p < first+n; p++ {
+			owner[p] = d
+		}
+	}
+	tab.Sync(pm)
+	for p := uint64(0); p < pm.Pages(); p++ {
+		if want := owner[p] != paging.DomainPerformance; tab.ReliableOnly(p) != want {
+			t.Fatalf("page %d (allocated %d): PAT reliable-only %v, layout says %v",
+				p, pm.Allocated(), tab.ReliableOnly(p), want)
+		}
+	}
+}

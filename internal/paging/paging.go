@@ -48,11 +48,16 @@ func (d Domain) String() string {
 // PhysMap records, for every physical page, which domain owns it. The
 // system software derives the PAT from this map: a page is marked
 // reliable-only unless it is owned by a performance domain.
+//
+// Physical memory is handed out by a bump allocator, so the map stores
+// one entry per allocated page only: a chip allocates a few thousand of
+// the hundreds of thousands of pages of its memory. Every page at or
+// past Allocated() is free, owned by DomainSystem with no guest.
 type PhysMap struct {
 	pageShift uint
-	owner     []Domain
-	guest     []int32 // guest id per page, -1 if none
-	nextFree  uint64  // simple bump allocator, in pages
+	pages     uint64   // pages of physical memory
+	owner     []Domain // per allocated page
+	guest     []int32  // guest id per allocated page, -1 if none
 }
 
 // NewPhysMap creates an ownership map covering memBytes of physical
@@ -65,73 +70,70 @@ func NewPhysMap(memBytes uint64, pageBytes int) *PhysMap {
 			panic("paging: page size is not a power of two")
 		}
 	}
-	pages := memBytes >> shift
-	m := &PhysMap{
-		pageShift: shift,
-		owner:     make([]Domain, pages),
-		guest:     make([]int32, pages),
-	}
-	for i := range m.guest {
-		m.guest[i] = -1
-	}
-	return m
+	return &PhysMap{pageShift: shift, pages: memBytes >> shift}
 }
 
 // PageShift returns log2(page size).
 func (m *PhysMap) PageShift() uint { return m.pageShift }
 
 // Pages returns the number of physical pages.
-func (m *PhysMap) Pages() uint64 { return uint64(len(m.owner)) }
+func (m *PhysMap) Pages() uint64 { return m.pages }
 
 // Allocated returns the bump allocator's high-water mark: every page at
 // or above it is free (and therefore reliable-only). PAT construction
 // uses it to avoid inspecting the millions of untouched pages of a
 // mostly empty physical memory.
-func (m *PhysMap) Allocated() uint64 { return m.nextFree }
+func (m *PhysMap) Allocated() uint64 { return uint64(len(m.owner)) }
 
 // Alloc reserves n physical pages for the given domain and guest,
 // returning the first physical page number. Allocation is a
 // deterministic bump pointer so traces are reproducible.
 func (m *PhysMap) Alloc(n uint64, d Domain, guest int) uint64 {
-	if m.nextFree+n > m.Pages() {
+	first := m.Allocated()
+	if first+n > m.pages {
 		panic(fmt.Sprintf("paging: out of physical memory (%d pages requested, %d free)",
-			n, m.Pages()-m.nextFree))
+			n, m.pages-first))
 	}
-	first := m.nextFree
 	for i := uint64(0); i < n; i++ {
-		m.owner[first+i] = d
-		m.guest[first+i] = int32(guest)
+		m.owner = append(m.owner, d)
+		m.guest = append(m.guest, int32(guest))
 	}
-	m.nextFree += n
 	return first
 }
 
-// SetOwner reassigns one physical page (used when the system software
-// remaps pages, which must also update the PAT).
-func (m *PhysMap) SetOwner(ppage uint64, d Domain, guest int) {
-	m.owner[ppage] = d
-	m.guest[ppage] = int32(guest)
+// Owner returns the owning domain of a physical page.
+func (m *PhysMap) Owner(ppage uint64) Domain {
+	if ppage < m.Allocated() {
+		return m.owner[ppage]
+	}
+	m.checkPage(ppage)
+	return DomainSystem
 }
 
-// Owner returns the owning domain of a physical page.
-func (m *PhysMap) Owner(ppage uint64) Domain { return m.owner[ppage] }
-
 // Guest returns the guest id owning a physical page, or -1.
-func (m *PhysMap) Guest(ppage uint64) int { return int(m.guest[ppage]) }
+func (m *PhysMap) Guest(ppage uint64) int {
+	if ppage < m.Allocated() {
+		return int(m.guest[ppage])
+	}
+	m.checkPage(ppage)
+	return -1
+}
+
+// checkPage panics for a page past the end of physical memory.
+func (m *PhysMap) checkPage(ppage uint64) {
+	if ppage >= m.pages {
+		panic(fmt.Sprintf("paging: physical page %d past the %d pages of memory", ppage, m.pages))
+	}
+}
 
 // OwnerOfAddr returns the owning domain of a physical address.
 func (m *PhysMap) OwnerOfAddr(pa uint64) Domain {
-	return m.owner[pa>>m.pageShift]
+	return m.Owner(pa >> m.pageShift)
 }
 
 // ReliableOnly reports whether the PAT bit for this physical page
 // should be 1: the page may only be written by software executing in
 // reliable mode.
 func (m *PhysMap) ReliableOnly(ppage uint64) bool {
-	switch m.owner[ppage] {
-	case DomainPerformance:
-		return false
-	default:
-		return true
-	}
+	return m.Owner(ppage) != DomainPerformance
 }

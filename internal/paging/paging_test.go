@@ -253,3 +253,47 @@ func TestTLBFlushClearsEverything(t *testing.T) {
 		t.Fatalf("refill after flush returned %#x, want the correct %#x", pa, good)
 	}
 }
+
+// TestUnallocatedPagesReadAsSystem: the map stores only allocated
+// pages; every page from Allocated() to Pages() reads as free system
+// memory, and a page past Pages() still fails.
+func TestUnallocatedPagesReadAsSystem(t *testing.T) {
+	pm := newTestMap()
+	if pm.Pages() != 8192 || pm.Allocated() != 0 {
+		t.Fatalf("fresh map: %d pages, %d allocated", pm.Pages(), pm.Allocated())
+	}
+	pm.Alloc(3, DomainPerformance, 2)
+	pm.Alloc(2, DomainReliable, 1)
+	if pm.Allocated() != 5 {
+		t.Fatalf("allocated %d pages, want 5", pm.Allocated())
+	}
+	for _, p := range []uint64{5, 6, 4000, pm.Pages() - 1} {
+		if pm.Owner(p) != DomainSystem || pm.Guest(p) != -1 || !pm.ReliableOnly(p) {
+			t.Fatalf("free page %d reads as %v guest %d", p, pm.Owner(p), pm.Guest(p))
+		}
+	}
+	if pm.OwnerOfAddr(pm.Pages()<<pm.PageShift()-1) != DomainSystem {
+		t.Fatal("last byte of memory is not free system memory")
+	}
+	for name, access := range map[string]func(){
+		"Owner":        func() { pm.Owner(pm.Pages()) },
+		"Guest":        func() { pm.Guest(pm.Pages()) },
+		"OwnerOfAddr":  func() { pm.OwnerOfAddr(pm.Pages() << pm.PageShift()) },
+		"ReliableOnly": func() { pm.ReliableOnly(pm.Pages() + 100) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past Pages() did not fail", name)
+				}
+			}()
+			access()
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("allocating past Pages() did not fail")
+		}
+	}()
+	pm.Alloc(pm.Pages()-4, DomainSystem, -1)
+}

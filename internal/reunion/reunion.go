@@ -10,6 +10,18 @@
 // from the mute's best-effort incoherent data going stale — squashes
 // both pipelines and re-executes, the same recovery as a transient
 // fault.
+//
+// Fingerprints are compared only as self.fp != other.fp, between the two
+// sides' records of one sequence number, and every record of one
+// binding comes from the same trace.Shared stream: Bind and Unbind
+// reset the rings, and the chip binds a pair afresh on every DMR plan
+// change. Both records of a sequence number therefore describe the same
+// instruction, which is what lets a core send its fingerprint XOR the
+// fault-free hash of that instruction (cpu.checkFingerprint): the common
+// term cancels in every comparison, so a fault-free execution hashes
+// nothing and clean/clean, clean/corrupted and corrupted/corrupted pairs
+// compare exactly as full fingerprints would. A gate that compared
+// fingerprints across instructions would need the full hash back.
 package reunion
 
 import (

@@ -28,10 +28,24 @@ type Rand struct {
 	geoLogQ [2]float64
 }
 
+// gamma is splitmix64's state increment: each output adds it once to
+// the state, so output i of a state is a pure function of that state
+// (OutputAt) and skipping outputs is one multiply (Skip).
+const gamma = 0x9e3779b97f4a7c15
+
+// mix is splitmix64's output finalizer.
+//
+//mmm:hotpath
+func mix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // NewRand returns a generator seeded with seed. Two generators with the
 // same seed produce the same sequence.
 func NewRand(seed uint64) *Rand {
-	return &Rand{state: seed + 0x9e3779b97f4a7c15}
+	return &Rand{state: seed + gamma}
 }
 
 // Snapshot returns the internal state so a caller can checkpoint the
@@ -45,11 +59,22 @@ func (r *Rand) Restore(s uint64) { r.state = s }
 //
 //mmm:hotpath
 func (r *Rand) Next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	r.state += gamma
+	return mix(r.state)
+}
+
+// Skip advances the generator past its next n outputs without
+// computing them: afterwards it is in the state n Next calls leave.
+func (r *Rand) Skip(n uint64) { r.state += n * gamma }
+
+// OutputAt returns output i (counting from 0) of a generator in state s
+// — what the (i+1)-th Next after Restore(s) returns — without touching
+// any generator. Uint64n(n) is exactly one output, Next() % n, so a
+// caller can defer a run of draws it may never read.
+//
+//mmm:hotpath
+func OutputAt(s, i uint64) uint64 {
+	return mix(s + (i+1)*gamma)
 }
 
 // Intn returns a uniform integer in [0, n). n must be positive.
@@ -126,10 +151,7 @@ func DeriveSeed(base uint64, labels ...string) uint64 {
 		}
 		h = (h ^ 0x1f) * prime // label separator
 	}
-	// splitmix64 finalizer
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return mix(h)
 }
 
 // StreamCheck digests the opening of the canonical derived random

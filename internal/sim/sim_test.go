@@ -145,3 +145,39 @@ func TestStreamCheckPinned(t *testing.T) {
 		t.Fatal("StreamCheck not stable across calls")
 	}
 }
+
+// TestSkipAndOutputAtMatchNext: Skip(n) leaves the state n Next calls
+// leave, and OutputAt(s, i) is the (i+1)-th Next after Restore(s).
+func TestSkipAndOutputAtMatchNext(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		r := NewRand(seed)
+		r.Next()
+		s := r.Snapshot()
+		var outs []uint64
+		for i := 0; i < 3000; i++ {
+			outs = append(outs, r.Next())
+		}
+		for i, want := range outs {
+			if got := OutputAt(s, uint64(i)); got != want {
+				t.Fatalf("seed %d: OutputAt(s, %d) = %#x, Next gave %#x", seed, i, got, want)
+			}
+		}
+		for _, n := range []uint64{0, 1, 2, 17, 2999} {
+			skip := NewRand(0)
+			skip.Restore(s)
+			skip.Skip(n)
+			step := NewRand(0)
+			step.Restore(s)
+			for i := uint64(0); i < n; i++ {
+				step.Next()
+			}
+			if skip.Snapshot() != step.Snapshot() {
+				t.Fatalf("seed %d: Skip(%d) state %#x, %d Next calls %#x",
+					seed, n, skip.Snapshot(), n, step.Snapshot())
+			}
+			if skip.Next() != step.Next() {
+				t.Fatalf("seed %d: streams diverge after Skip(%d)", seed, n)
+			}
+		}
+	}
+}

@@ -13,8 +13,9 @@
 //
 // Determinism is a hard requirement, not a convenience: the vocal and
 // mute cores of a Reunion pair tee a single generator (trace.Shared)
-// and must observe bit-identical instruction streams, or fingerprints
-// would mismatch in fault-free execution.
+// and must observe bit-identical instruction streams. The Check stage
+// relies on it: each side's fingerprint is taken relative to the
+// fault-free hash of the shared instruction (see package reunion).
 package trace
 
 import (
@@ -41,35 +42,65 @@ const (
 // hotSet is a fixed-capacity ring of recently used line addresses.
 // Re-referencing recent lines is what gives the stream its cache
 // locality.
+//
+// A ring starts full, so the reuse distribution is in steady state from
+// the first instruction: entry i of its pre-fill is a uniform line of
+// its region, base + (output i of the generator's RNG at construction %
+// span) * lineBytes — the draws Uint64n would have made. The pre-fill is
+// never stored. Pushes overwrite entries in index order from 0, so
+// lines holds exactly the pushed prefix and at computes any index past
+// it from the recorded RNG state; a trial that pushes a few hundred
+// lines never pays for the thousands it does not.
 type hotSet struct {
-	lines []uint64
-	n     int
-	next  int
+	lines []uint64 // entries 0..len(lines)-1, as pushed
+	size  int      // capacity
+	next  int      // entry the next push overwrites once lines is full
+
+	state uint64 // RNG state the pre-fill draws from
+	base  uint64 // region base address
+	span  uint64 // region size in lines
 }
 
-func newHotSet(capacity int) *hotSet {
-	return &hotSet{lines: make([]uint64, capacity)}
+// newHotSet records a ring of capacity lines over the region at base
+// and moves r past the draws an eager fill would make, leaving r in the
+// state that fill leaves.
+func newHotSet(r *sim.Rand, capacity int, base, pages uint64) *hotSet {
+	h := &hotSet{size: capacity, state: r.Snapshot(), base: base, span: pages * pageBytes / lineBytes}
+	if capacity > 0 && h.span == 0 {
+		panic("trace: reuse ring over an empty region")
+	}
+	r.Skip(uint64(capacity))
+	return h
 }
 
 //mmm:hotpath
 func (h *hotSet) push(la uint64) {
+	if len(h.lines) < h.size {
+		h.lines = append(h.lines, la)
+		return
+	}
 	h.lines[h.next] = la
-	// Increment and reset rather than %: the same index sequence
-	// without a 64-bit division on every push.
-	if h.next++; h.next == len(h.lines) {
+	if h.next++; h.next == h.size {
 		h.next = 0
 	}
-	if h.n < len(h.lines) {
-		h.n++
+}
+
+// at returns entry i: pushed, or still the pre-fill line.
+//
+//mmm:hotpath
+func (h *hotSet) at(i int) uint64 {
+	if i < len(h.lines) {
+		return h.lines[i]
 	}
+	return h.base + sim.OutputAt(h.state, uint64(i))%h.span*lineBytes
 }
 
 //mmm:hotpath
 func (h *hotSet) pick(r *sim.Rand) (uint64, bool) {
-	if h.n == 0 {
+	if h.size == 0 {
 		return 0, false
 	}
-	return h.lines[r.Intn(h.n)], true
+	return h.at(r.Intn(h.size)), true
 }
 
 // GuestState holds the truly write-shared lines of one guest: the user
@@ -138,40 +169,25 @@ func New(p *workload.Params, seed uint64) *Gen {
 // sets are shared with the other generators of the same guest.
 func NewInGuest(p *workload.Params, seed uint64, gs *GuestState) *Gen {
 	g := &Gen{
-		rng:        sim.NewRand(seed),
-		p:          p,
-		guest:      gs,
-		pc:         VACodeBase,
-		hotPriv:    newHotSet(p.HotLines),
-		warmPriv:   newHotSet(p.WarmLines),
-		hotShared:  newHotSet(p.HotLines / 2),
-		warmShared: newHotSet(p.WarmLines / 2),
-		hotOS:      newHotSet(p.HotLines / 2),
-		warmOS:     newHotSet(p.WarmLines / 2),
-		hotCode:    newHotSet(p.ICHotLines),
-		warmCode:   newHotSet(p.ICHotLines * 4),
-		hotOSCode:  newHotSet(p.ICHotLines),
-		warmOSCode: newHotSet(p.ICHotLines * 4),
+		rng:   sim.NewRand(seed),
+		p:     p,
+		guest: gs,
+		pc:    VACodeBase,
 	}
 	g.remaining = g.rng.Around(p.UserInstrsPerTrap)
-	// Pre-populate the working sets so the reuse distribution is in
-	// steady state from the first instruction (the caches themselves
-	// still warm up during the measurement warmup window).
-	fill := func(hs *hotSet, base, pages uint64) {
-		for i := 0; i < len(hs.lines); i++ {
-			hs.push(base + g.rng.Uint64n(pages*pageBytes/lineBytes)*lineBytes)
-		}
-	}
-	fill(g.warmPriv, VAPrivBase, p.PrivPages)
-	fill(g.hotPriv, VAPrivBase, p.PrivPages)
-	fill(g.warmShared, VASharedBase, p.SharedPages)
-	fill(g.hotShared, VASharedBase, p.SharedPages)
-	fill(g.warmOS, VAOSDataBase, p.OSPages)
-	fill(g.hotOS, VAOSDataBase, p.OSPages)
-	fill(g.warmCode, VACodeBase, p.CodePages)
-	fill(g.hotCode, VACodeBase, p.CodePages)
-	fill(g.warmOSCode, VAOSCodeBase, p.OSCodePages)
-	fill(g.hotOSCode, VAOSCodeBase, p.OSCodePages)
+	// The working sets start full (see hotSet); each ring takes its
+	// pre-fill draws from the RNG in this order.
+	r := g.rng
+	g.warmPriv = newHotSet(r, p.WarmLines, VAPrivBase, p.PrivPages)
+	g.hotPriv = newHotSet(r, p.HotLines, VAPrivBase, p.PrivPages)
+	g.warmShared = newHotSet(r, p.WarmLines/2, VASharedBase, p.SharedPages)
+	g.hotShared = newHotSet(r, p.HotLines/2, VASharedBase, p.SharedPages)
+	g.warmOS = newHotSet(r, p.WarmLines/2, VAOSDataBase, p.OSPages)
+	g.hotOS = newHotSet(r, p.HotLines/2, VAOSDataBase, p.OSPages)
+	g.warmCode = newHotSet(r, p.ICHotLines*4, VACodeBase, p.CodePages)
+	g.hotCode = newHotSet(r, p.ICHotLines, VACodeBase, p.CodePages)
+	g.warmOSCode = newHotSet(r, p.ICHotLines*4, VAOSCodeBase, p.OSCodePages)
+	g.hotOSCode = newHotSet(r, p.ICHotLines, VAOSCodeBase, p.OSCodePages)
 	return g
 }
 
@@ -180,23 +196,16 @@ func NewInGuest(p *workload.Params, seed uint64, gs *GuestState) *Gen {
 //mmm:hotpath
 func (g *Gen) Next() isa.Inst {
 	g.seq++
-	var in isa.Inst
 	if g.remaining <= 0 {
-		in = g.phaseSwitch()
-	} else {
-		g.remaining--
-		if g.inOS {
-			g.OSInsts++
-			in = g.gen(true)
-		} else {
-			g.UserInsts++
-			in = g.gen(false)
-		}
+		return g.phaseSwitch()
 	}
-	// Fingerprint once at generation: both cores of a DMR pair check the
-	// same hash, and re-executions after a squash re-read it for free.
-	in.FP = in.Fingerprint()
-	return in
+	g.remaining--
+	if g.inOS {
+		g.OSInsts++
+		return g.gen(true)
+	}
+	g.UserInsts++
+	return g.gen(false)
 }
 
 // phaseSwitch emits the trap-enter or trap-return marking a transition
