@@ -586,7 +586,13 @@ func httpErrorJSON(w http.ResponseWriter, code int, format string, args ...any) 
 const maxControlBody = 16 << 10
 
 // maxCompletionBody caps a completion, the one fleet body that carries
-// a job's Metrics. MAXCOMPLETION
+// a job's Metrics. A completion is the encoded Metrics plus about 200
+// bytes. Measured on apache at seed 1, the largest Metrics of every
+// registered campaign at quick scale was 1,559 bytes, of the full-scale
+// reliability campaign 1,680 bytes, and of a quick reliability campaign
+// at 384 trials per cell (the nightly fixed-batch run) 2,551 bytes: a
+// reliability batch grows by its detection latencies, about 5 bytes
+// per detected fault. 1 MiB is over 300 times the largest.
 const maxCompletionBody = 1 << 20
 
 // decodeBody decodes req's JSON body into v, reading at most limit

@@ -836,7 +836,10 @@ func (c *Core) readySlow(idx int, oldest uint64, now sim.Cycle) bool {
 
 // execute models the execution of one instruction: functional units,
 // TLB, memory hierarchy, branch redirect, fault injection and
-// fingerprint generation.
+// fingerprint generation. A DMR core's fingerprint is relative to the
+// fault-free hash of the instruction (checkFingerprint), which is exact
+// only because the Check stage compares the two sides' fingerprints of
+// one instruction and nothing else (see package reunion).
 //
 //mmm:hotpath
 func (c *Core) execute(e *entry, now sim.Cycle) {
@@ -916,22 +919,17 @@ func (c *Core) execute(e *entry, now sim.Cycle) {
 // hashes nothing.
 //
 //mmm:hotpath
-func checkFingerprint(in *isa.Inst, flip, pa uint64) (fp uint64) {
-	if in.Class.IsMem() {
-		fp = (pa + 0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
-	}
+func checkFingerprint(in *isa.Inst, flip, pa uint64) uint64 {
+	var fp uint64
 	if flip != 0 {
-		fp ^= corruptionDelta(in, flip)
+		corrupted := *in
+		corrupted.Result ^= flip
+		fp = corrupted.Fingerprint() ^ in.Fingerprint()
+	}
+	if in.Class.IsMem() {
+		fp ^= (pa + 0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
 	}
 	return fp
-}
-
-// corruptionDelta returns the fingerprint of in with flip applied to
-// its result, XOR the fingerprint of in.
-func corruptionDelta(in *isa.Inst, flip uint64) uint64 {
-	corrupted := *in
-	corrupted.Result ^= flip
-	return corrupted.Fingerprint() ^ in.Fingerprint()
 }
 
 // translate runs the TLB for a memory instruction, returning extra
