@@ -127,6 +127,12 @@ func TestSubmitBoundsUntrustedSpecs(t *testing.T) {
 	if code != http.StatusBadRequest || !bytes.Contains(data, []byte(fmt.Sprint(campaign.MaxJobs))) {
 		t.Fatalf("over-limit submit: %d %s, want 400 naming %d", code, data, campaign.MaxJobs)
 	}
+	manyTrials := `{"name":"relia","workloads":["apache"],"seeds":[11],"precision":{"half_width":0.25,"wave_trials":1000000000}}`
+	limit := fmt.Sprint(api.PrecisionAxis().MaxTrials)
+	if code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", manyTrials); code != http.StatusBadRequest ||
+		!bytes.Contains(data, []byte(limit)) {
+		t.Fatalf("over-limit trials: %d %s, want 400 naming %s", code, data, limit)
+	}
 	huge := `{"name":"figure5","seeds":[` + strings.Repeat("1,", maxSubmitBytes/2) + `1]}`
 	if code, data := do(t, http.MethodPost, ts.URL+"/v1/campaigns", huge); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d %s, want 413", code, data)

@@ -2,6 +2,7 @@ package api
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -30,6 +31,16 @@ func TestPrecisionNormalizedDefaults(t *testing.T) {
 		t.Fatalf("normalized block invalid: %v", err)
 	}
 
+	// The trial limit is exactly the largest default budget, the one at
+	// MinHalfWidth, so every default-sized block validates.
+	tightest := Precision{HalfWidth: MinHalfWidth}.Normalized()
+	if err := tightest.Validate(); err != nil {
+		t.Fatalf("default-sized block at MinHalfWidth invalid: %v", err)
+	}
+	if tightest.MaxTrials != maxTrials {
+		t.Fatalf("default budget at MinHalfWidth %d, trial limit %d", tightest.MaxTrials, maxTrials)
+	}
+
 	// Explicit knobs survive normalization.
 	q := Precision{Metric: "sdc", HalfWidth: 0.1, WaveTrials: 3, MinTrials: 6, MaxTrials: 9}.Normalized()
 	if q != (Precision{Metric: "sdc", HalfWidth: 0.1, WaveTrials: 3, MinTrials: 6, MaxTrials: 9}) {
@@ -49,6 +60,12 @@ func TestPrecisionValidateNamesBounds(t *testing.T) {
 		{Precision{HalfWidth: 0.3}, fmt.Sprint(MaxHalfWidth)},
 		{Precision{HalfWidth: 0.05, WaveTrials: -1, MinTrials: 1, MaxTrials: 1}, "wave_trials"},
 		{Precision{HalfWidth: 0.05, WaveTrials: 1, MinTrials: 8, MaxTrials: 4}, "max_trials"},
+		// Trial counts past the largest default budget: an untrusted
+		// submission must not schedule billions of trials per cell.
+		{Precision{HalfWidth: 0.25, WaveTrials: 1_000_000_000, MinTrials: 1, MaxTrials: 1}, fmt.Sprint(maxTrials)},
+		{Precision{HalfWidth: 0.25, WaveTrials: math.MaxInt, MinTrials: 1, MaxTrials: 1}, fmt.Sprint(maxTrials)},
+		{Precision{HalfWidth: 0.1, WaveTrials: 12, MinTrials: 1 << 40, MaxTrials: 1 << 40}, fmt.Sprint(maxTrials)},
+		{Precision{HalfWidth: 0.1, WaveTrials: 12, MinTrials: 24, MaxTrials: maxTrials + 1}, fmt.Sprint(maxTrials)},
 	}
 	for _, c := range cases {
 		p := c.p
@@ -60,12 +77,24 @@ func TestPrecisionValidateNamesBounds(t *testing.T) {
 			t.Errorf("Validate(%+v) = %v, want mention of %q", c.p, err, c.want)
 		}
 	}
+	// Normalized must not wrap a huge wave into a valid-looking block.
+	for _, p := range []Precision{
+		{HalfWidth: 0.25, WaveTrials: 1_000_000_000},
+		{HalfWidth: 0.25, WaveTrials: math.MaxInt},
+		{HalfWidth: 0.1, MinTrials: 1 << 40},
+	} {
+		err := p.Normalized().Validate()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxTrials)) {
+			t.Errorf("Normalized(%+v).Validate() = %v, want mention of %d", p, err, maxTrials)
+		}
+	}
 }
+
 
 func TestPrecisionAxis(t *testing.T) {
 	ax := PrecisionAxis()
 	if len(ax.Metrics) != len(PrecisionMetrics) ||
-		ax.MinHalfWidth != MinHalfWidth || ax.MaxHalfWidth != MaxHalfWidth {
+		ax.MinHalfWidth != MinHalfWidth || ax.MaxHalfWidth != MaxHalfWidth || ax.MaxTrials != maxTrials {
 		t.Fatalf("advertised axis %+v disagrees with the package bounds", ax)
 	}
 }

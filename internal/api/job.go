@@ -91,7 +91,7 @@ type Knobs struct {
 	// ReliaTrials then counts only this wave's trials, and the trial
 	// windows derive from the cell's reference batch shape so every
 	// wave of a cell is statistically mergeable with the others. Wave
-	// 0 is a plain fixed-batch job and keeps the v4 fingerprint.
+	// 0 is a plain fixed-batch job.
 	Wave int `json:"wave,omitempty"`
 	// TrialOffset is the global index of the wave's first trial within
 	// its cell: wave trials [TrialOffset, TrialOffset+ReliaTrials) use

@@ -23,6 +23,18 @@ const (
 	DefaultMinWaves   = 2
 )
 
+// maxTrials bounds each of a block's trial counts (wave_trials,
+// min_trials, max_trials): the largest budget the defaults compute, the
+// worst case at MinHalfWidth rounded up to a whole default wave. A
+// submission cannot schedule more trials per cell than the tightest
+// target needs, and Normalized's rounding cannot overflow.
+var maxTrials = waveMultiple(int(stats.WorstCaseTrials(MinHalfWidth)), DefaultWaveTrials)
+
+// waveMultiple rounds n up to a whole number of waves.
+func waveMultiple(n, wave int) int {
+	return (n + wave - 1) / wave * wave
+}
+
 // PrecisionMetrics lists the proportions a stopping rule can target.
 // "coverage" is covered/exposed across all injected kinds; "sdc" is
 // its complement (1 - coverage). The two Wilson intervals are mirror
@@ -72,9 +84,7 @@ func (p Precision) Normalized() Precision {
 		p.MinTrials = DefaultMinWaves * p.WaveTrials
 	}
 	if p.MaxTrials == 0 {
-		worst := int(stats.WorstCaseTrials(p.HalfWidth))
-		waves := (worst + p.WaveTrials - 1) / p.WaveTrials
-		p.MaxTrials = waves * p.WaveTrials
+		p.MaxTrials = waveMultiple(int(stats.WorstCaseTrials(p.HalfWidth)), p.WaveTrials)
 	}
 	if p.MaxTrials < p.MinTrials {
 		p.MaxTrials = p.MinTrials
@@ -100,11 +110,14 @@ func (p Precision) Validate() error {
 		return fmt.Errorf("precision: half_width %g outside valid bounds [%g, %g]",
 			p.HalfWidth, MinHalfWidth, MaxHalfWidth)
 	}
-	if p.WaveTrials < 1 {
-		return fmt.Errorf("precision: wave_trials %d must be at least 1", p.WaveTrials)
+	if p.WaveTrials < 1 || p.WaveTrials > maxTrials {
+		return fmt.Errorf("precision: wave_trials %d outside valid bounds [1, %d]", p.WaveTrials, maxTrials)
 	}
-	if p.MinTrials < 1 {
-		return fmt.Errorf("precision: min_trials %d must be at least 1", p.MinTrials)
+	if p.MinTrials < 1 || p.MinTrials > maxTrials {
+		return fmt.Errorf("precision: min_trials %d outside valid bounds [1, %d]", p.MinTrials, maxTrials)
+	}
+	if p.MaxTrials > maxTrials {
+		return fmt.Errorf("precision: max_trials %d above the limit %d", p.MaxTrials, maxTrials)
 	}
 	if p.MaxTrials < p.MinTrials {
 		return fmt.Errorf("precision: max_trials %d below min_trials %d", p.MaxTrials, p.MinTrials)
@@ -113,12 +126,13 @@ func (p Precision) Validate() error {
 }
 
 // Axis describes the precision axis for the catalog: which metrics a
-// stopping rule can target and the bounds a submitted half-width must
-// respect.
+// stopping rule can target, the bounds a submitted half-width must
+// respect, and the limit on each trial count.
 type Axis struct {
 	Metrics           []string `json:"metrics"`
 	MinHalfWidth      float64  `json:"min_half_width"`
 	MaxHalfWidth      float64  `json:"max_half_width"`
+	MaxTrials         int      `json:"max_trials"`
 	DefaultWaveTrials int      `json:"default_wave_trials"`
 }
 
@@ -128,6 +142,7 @@ func PrecisionAxis() Axis {
 		Metrics:           append([]string(nil), PrecisionMetrics...),
 		MinHalfWidth:      MinHalfWidth,
 		MaxHalfWidth:      MaxHalfWidth,
+		MaxTrials:         maxTrials,
 		DefaultWaveTrials: DefaultWaveTrials,
 	}
 }

@@ -23,10 +23,11 @@ import (
 //	POST /heartbeat -> 200 (extended) | 410 (lease revoked or board over)
 //	POST /complete  -> 200 | 410 (lease revoked; result discarded)
 //
-// Worker endpoints (served by mmmd -worker, called by coordinators):
+// Worker endpoints (served by the worker, called by coordinators;
+// mmmd -worker adds GET /metrics):
 //
 //	POST /v1/attach -> api.AttachResponse | 409 (incompatible build)
-//	GET  /healthz, GET /status
+//	GET  /healthz
 //
 // protoVersion gates the wire format; protocolCheck() additionally
 // folds in the simulator's SpecVersion and RNG stream digest so two

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 )
 
@@ -101,6 +102,9 @@ func FuzzSpec(f *testing.F) {
 		if prec != nil {
 			if err := prec.Validate(); err != nil {
 				t.Fatalf("Cells returned a precision block that does not validate: %v", err)
+			}
+			if limit := api.PrecisionAxis().MaxTrials; prec.WaveTrials > limit || prec.MinTrials > limit || prec.MaxTrials > limit {
+				t.Fatalf("validated precision block %+v exceeds the trial limit %d", *prec, limit)
 			}
 		}
 		if _, err := newPlan(sc, spec); err != nil {

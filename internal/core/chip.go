@@ -134,14 +134,7 @@ type Chip struct {
 	// decision from a fresh one. Only maintained while rec != nil.
 	polRetry []bool
 
-	// Hot-path scheduling state. active lists, in core-ID order, the
-	// cores that currently have an instruction stream; parked cores
-	// (NoDMR's idle half, MMM-IPC's idle redundant cores, mute cores
-	// with no work) are skipped by Tick/Run and their idle-cycle
-	// counters settled lazily from idleSince (see creditIdle).
-	active     []*cpu.Core
-	coreIdle   []bool
-	idleSince  []sim.Cycle
+	// Hot-path scheduling state.
 	transCount int  // live entries in trans
 	drainCount int  // live entries still in phase 0 (draining)
 	transDirty bool // a transition started during the current bulk step
@@ -206,12 +199,6 @@ func newChip(cfg *sim.Config, kind Kind, rec *cache.Recycler) (*Chip, error) {
 	c.polLastCommits = make([]uint64, cfg.Cores)
 	c.polRetry = make([]bool, cfg.Cores/2)
 	c.polNextAt = sim.Never
-	c.active = make([]*cpu.Core, 0, cfg.Cores)
-	c.coreIdle = make([]bool, cfg.Cores)
-	c.idleSince = make([]sim.Cycle, cfg.Cores)
-	for i := range c.coreIdle {
-		c.coreIdle[i] = true
-	}
 	c.attrGuest = make([]int, cfg.Cores)
 	c.attrUser = make([]uint64, cfg.Cores)
 	c.attrOS = make([]uint64, cfg.Cores)
@@ -223,15 +210,13 @@ func newChip(cfg *sim.Config, kind Kind, rec *cache.Recycler) (*Chip, error) {
 }
 
 // Tick advances the whole chip by one cycle: scheduler, in-flight mode
-// transitions, fault injector, then every active core in ID order.
-// Parked cores are skipped; their idle-cycle counters are settled
-// lazily (creditIdle), so the counters a Collect observes are identical
-// to ticking every core unconditionally.
+// transitions, fault injector, then every core in ID order, idle ones
+// included. It is the per-cycle reference Run must match.
 //
 //mmm:hotpath
 func (c *Chip) Tick() {
 	now := c.Now
-	if c.policy != nil && now >= c.polNextAt {
+	if now >= c.polNextAt {
 		c.policyDecide(mode.Event{Kind: mode.EvTimer, Pair: -1, Cycle: now})
 	}
 	if c.transCount > 0 {
@@ -248,7 +233,7 @@ func (c *Chip) Tick() {
 			c.tickInjectorRecorded(now)
 		}
 	}
-	for _, core := range c.active {
+	for _, core := range c.Cores {
 		core.Tick(now)
 	}
 	c.Now++
@@ -276,14 +261,15 @@ func (c *Chip) tickInjectorRecorded(now sim.Cycle) {
 // Run advances the chip n cycles. It is the hot path of every campaign:
 // instead of consulting the gang scheduler, the transition engine and
 // the fault injector on each of the n cycles, it asks each for its
-// event horizon (NextEventAt) and bulk-steps the active cores up to the
+// event horizon (NextEventAt) and bulk-steps the cores up to the
 // earliest one, falling back to full per-cycle Ticks only at event
 // cycles and while a pair is draining toward a mode switch. Inside a
-// bulk step, a core whose pipeline sleeps is not ticked until its wake
-// cycle (cpu.Core.SkipUntil), and when every active core sleeps the
-// clock jumps to the earliest wake. Slept cycles are charged lazily, at
-// the core's next Tick or at Collect/ResetMeasurement (SettleTo). The
-// resulting simulation is cycle-for-cycle identical to n Ticks.
+// bulk step, a core whose pipeline sleeps — stalled, or idle with no
+// source — is not ticked until its wake cycle (cpu.Core.SkipUntil), and
+// when every core sleeps the clock jumps to the earliest wake, or to the
+// horizon. Slept cycles are charged lazily, at the core's next Tick or
+// at Collect/ResetMeasurement (SettleTo). The resulting simulation is
+// cycle-for-cycle identical to n Ticks.
 //
 //mmm:hotpath
 func (c *Chip) Run(n sim.Cycle) {
@@ -294,18 +280,6 @@ func (c *Chip) Run(n sim.Cycle) {
 			c.Tick()
 			continue
 		}
-		if len(c.active) == 0 {
-			// Whole-chip idle: no core touches any state before the
-			// horizon; idle counters are settled lazily.
-			if c.rec != nil {
-				c.rec.Emit(obs.Event{
-					Kind: obs.KindBulkStep, Cycle: c.Now, Dur: horizon - c.Now,
-					Pair: -1, Core: -1, Cause: "idle",
-				})
-			}
-			c.Now = horizon
-			continue
-		}
 		start := c.Now
 		c.transDirty = false
 		for c.Now < horizon {
@@ -313,7 +287,7 @@ func (c *Chip) Run(n sim.Cycle) {
 			// wake: with every core asleep, nothing changes before it.
 			now := c.Now
 			next := horizon
-			for _, core := range c.active {
+			for _, core := range c.Cores {
 				if at := core.SkipUntil(); now < at {
 					if at < next {
 						next = at
@@ -331,9 +305,15 @@ func (c *Chip) Run(n sim.Cycle) {
 			}
 		}
 		if c.rec != nil && c.Now > start {
+			busy := 0
+			for _, core := range c.Cores {
+				if !core.Idle() {
+					busy++
+				}
+			}
 			c.rec.Emit(obs.Event{
 				Kind: obs.KindBulkStep, Cycle: start, Dur: c.Now - start,
-				Pair: -1, Core: -1, Arg: int64(len(c.active)),
+				Pair: -1, Core: -1, Arg: int64(busy),
 			})
 		}
 	}
@@ -347,7 +327,7 @@ func (c *Chip) Run(n sim.Cycle) {
 //mmm:hotpath
 func (c *Chip) nextEventAt(end sim.Cycle) sim.Cycle {
 	h := end
-	if c.policy != nil && c.polNextAt < h {
+	if c.polNextAt < h {
 		h = c.polNextAt
 	}
 	if c.Injector != nil {
@@ -369,47 +349,6 @@ func (c *Chip) nextEventAt(end sim.Cycle) sim.Cycle {
 		}
 	}
 	return h
-}
-
-// refreshActive rebuilds the active-core list after a plan application
-// changed core sources, settling idle spans for cores that woke up and
-// opening spans for cores that parked.
-func (c *Chip) refreshActive() {
-	c.active = c.active[:0]
-	for i, core := range c.Cores {
-		idle := core.Idle()
-		if idle != c.coreIdle[i] {
-			if idle {
-				c.idleSince[i] = c.Now
-			} else {
-				c.creditIdle(i)
-			}
-			c.coreIdle[i] = idle
-		}
-		if !idle {
-			c.active = append(c.active, core)
-		}
-	}
-}
-
-// creditIdle settles a parked core's pending idle span: the cycles it
-// would have counted had it been ticked individually.
-func (c *Chip) creditIdle(i int) {
-	span := c.Now - c.idleSince[i]
-	cc := &c.Cores[i].C
-	cc.Cycles += span
-	cc.IdleCycles += span
-	c.idleSince[i] = c.Now
-}
-
-// syncIdle settles every parked core's pending idle span so externally
-// visible counters match per-cycle ticking.
-func (c *Chip) syncIdle() {
-	for i := range c.Cores {
-		if c.coreIdle[i] {
-			c.creditIdle(i)
-		}
-	}
 }
 
 // --- attribution ----------------------------------------------------------
@@ -446,9 +385,6 @@ func (c *Chip) ResetMeasurement() {
 		core.C = stats.CoreCounters{}
 		c.attrUser[i] = 0
 		c.attrOS[i] = 0
-		// Parked cores restart their idle span at the window boundary;
-		// the span accumulated during warmup dies with the counters.
-		c.idleSince[i] = c.Now
 	}
 	for i := range c.Hier.Ctr {
 		c.Hier.Ctr[i] = stats.CacheCounters{}

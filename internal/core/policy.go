@@ -17,12 +17,7 @@ import (
 // existing Enter-DMR / Leave-DMR machinery.
 
 // PolicyName returns the canonical name of the chip's mode policy.
-func (c *Chip) PolicyName() string {
-	if c.policy == nil {
-		return ""
-	}
-	return c.policy.Name()
-}
+func (c *Chip) PolicyName() string { return c.policy.Name() }
 
 // GroupSwitches counts the timer-driven policy decisions that
 // reconfigured at least one pair — under the static policy, exactly

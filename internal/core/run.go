@@ -97,7 +97,6 @@ func (c *Chip) Measure(warmup, measure sim.Cycle) Metrics {
 // Collect gathers metrics for the last measurement window of the given
 // length.
 func (c *Chip) Collect(window sim.Cycle) Metrics {
-	c.syncIdle()
 	// Sleeping cores owe their own and their pair's counters the slept
 	// cycles; settle before summing.
 	for _, core := range c.Cores {

@@ -246,10 +246,9 @@ func (c *Chip) applyPlan(pi int, pl pairPlan, suppressHook bool) {
 	vocal, mute := c.Cores[2*pi], c.Cores[2*pi+1]
 	pair := c.Pairs[pi]
 	was := c.curPlan[pi]
-	// Charge cycles the cores slept (and Run skipped) under the old
-	// configuration before its source, gate and user/OS phase change. A
-	// core parked here must owe nothing, or creditIdle would count its
-	// parked cycles a second time.
+	// Charge cycles the cores slept (and Run skipped), stalled or idle,
+	// under the old configuration before its source, gate and user/OS
+	// phase change.
 	vocal.WakeAt(c.Now)
 	mute.WakeAt(c.Now)
 
@@ -282,7 +281,6 @@ func (c *Chip) applyPlan(pi int, pl pairPlan, suppressHook bool) {
 	vocal.Resume(suppressHook)
 	mute.Resume(false)
 	c.curPlan[pi] = pl
-	c.refreshActive()
 }
 
 // applyCore configures one core to run an independent VCPU (or idle).

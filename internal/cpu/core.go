@@ -7,13 +7,15 @@
 // the partner core's fingerprint when Dual-Modular Redundancy is
 // active.
 //
-// Stalled cycles cost next to nothing to simulate. When a Tick proves
-// every stage inert for a span of cycles, the core sleeps: it records
-// what one slept cycle adds to its counters and the first cycle it
-// owes, and charges the whole span in one step (settle) when it is next
-// ticked, read (SettleTo) or reconfigured (WakeAt). A chip's run loop
-// may therefore skip a sleeping core until SkipUntil instead of ticking
-// it every cycle.
+// Stalled and idle cycles cost next to nothing to simulate. When a Tick
+// proves every stage inert for a span of cycles, the core sleeps: it
+// records what one slept cycle adds to its counters and the first cycle
+// it owes, and charges the whole span in one step (settle) when it is
+// next ticked, read (SettleTo) or reconfigured (WakeAt). An idle core,
+// one with no instruction source, is one more such sleep: it sleeps with
+// no deadline until a new source wakes it, and its span settles as idle
+// cycles. A chip's run loop may therefore skip a sleeping core until
+// SkipUntil instead of ticking it every cycle.
 package cpu
 
 import (
@@ -157,16 +159,17 @@ type Core struct {
 	// at the end of a Tick, every stage is provably inert — commit
 	// blocked on a known completion cycle (or the window empty), the
 	// issue scan asleep, fetch stalled on a known or externally-released
-	// condition. Until then a Tick only settles counters. readyUnknown
-	// means no deadline: an external wake (the partner's completion,
-	// Resume) ends the sleep. Any external mutation of pipeline state
-	// (source/gate changes, holds, resumes, blocks, squashes) clears it;
-	// 0 when awake.
+	// condition — or the core idle. Until then a Tick only settles
+	// counters. readyUnknown means no deadline: an external wake (the
+	// partner's completion, Resume, a new source) ends the sleep. Any
+	// external mutation of pipeline state (source/gate changes, holds,
+	// resumes, blocks, squashes) clears it; 0 when awake.
 	sleepUntil sim.Cycle
 	// owedFrom is the first slept cycle whose counters are not charged
 	// yet (0: nothing owed). settle charges the span up to a given cycle
-	// at the per-cycle deltas below, plus Cycles and the user/OS split
-	// by inOS. An external wake leaves the span owed; the next Tick, or
+	// at the per-cycle deltas below, plus Cycles and the idle/OS/user
+	// split by source and inOS (an idle span charges no deltas). An
+	// external wake leaves the span owed; the next Tick, or
 	// SettleTo/WakeAt, charges it. Of the state external events change,
 	// only the gate, the source and inOS bear on what a slept cycle
 	// charges, so a reconfiguration calls WakeAt first.
@@ -415,7 +418,10 @@ func (c *Core) Tick(now sim.Cycle) {
 	}
 	c.C.Cycles++
 	if c.src == nil {
+		// An idle core sleeps with no deadline: SetSource, like every
+		// reconfiguration, wakes it, and settle charges the span idle.
 		c.C.IdleCycles++
+		c.sleepUntil, c.owedFrom = readyUnknown, now+1
 		return
 	}
 	if c.inOS {
@@ -430,7 +436,8 @@ func (c *Core) Tick(now sim.Cycle) {
 }
 
 // settle charges the owed slept cycles before to: each adds Cycles,
-// OSCycles or UserCycles by the (unchanging) phase, and the sleep's
+// then IdleCycles, OSCycles or UserCycles by the (unchanging) source and
+// phase, as Tick does, and a busy core's sleep also charges its
 // per-cycle stall, fingerprint and gate-poll deltas.
 //
 //mmm:hotpath
@@ -441,6 +448,10 @@ func (c *Core) settle(to sim.Cycle) {
 	n := uint64(to - c.owedFrom)
 	c.owedFrom = to
 	c.C.Cycles += n
+	if c.src == nil {
+		c.C.IdleCycles += n
+		return
+	}
 	if c.inOS {
 		c.C.OSCycles += n
 	} else {

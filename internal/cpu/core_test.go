@@ -270,12 +270,33 @@ func TestSetSourcePanicsWithWork(t *testing.T) {
 	c.SetSource(script())
 }
 
+// TestIdleCoreCountsIdle: an idle core charges idle cycles whether it is
+// ticked every cycle or, as Chip.Run drives it, ticked once, skipped
+// while it sleeps, and settled when read or given a source.
 func TestIdleCoreCountsIdle(t *testing.T) {
-	cfg, h, _ := testRig(t, 2)
+	cfg, h, sp := testRig(t, 2)
 	c := New(0, cfg, h)
 	run(c, 0, 100)
 	if c.C.IdleCycles != 100 {
 		t.Fatalf("idle cycles = %d", c.C.IdleCycles)
+	}
+
+	c = New(0, cfg, h)
+	c.Tick(0)
+	if c.SkipUntil() == 0 {
+		t.Fatal("an idle core must sleep after one Tick")
+	}
+	c.SettleTo(100)
+	if c.C.Cycles != 100 || c.C.IdleCycles != 100 {
+		t.Fatalf("settled idle span: cycles %d, idle %d, want 100 and 100", c.C.Cycles, c.C.IdleCycles)
+	}
+	c.WakeAt(100)
+	c.SetSpace(sp)
+	c.SetSource(script())
+	run(c, 100, 20)
+	if c.C.Cycles != 120 || c.C.IdleCycles != 100 || c.C.UserCycles != 20 {
+		t.Fatalf("after a new source: cycles %d, idle %d, user %d, want 120, 100 and 20",
+			c.C.Cycles, c.C.IdleCycles, c.C.UserCycles)
 	}
 }
 

@@ -7,21 +7,16 @@ import (
 )
 
 // HotAlloc forbids per-call heap allocations inside functions annotated
-// //mmm:hotpath — the simulator's per-cycle loop: the chip's Run, Tick,
-// nextEventAt, policyDecide and pairStatus, and the core's Tick,
-// settle, armSleep, commit, retire, postStore, issueStore, issue,
-// execute, fetch and insert, and cpu's checkFingerprint — and the
-// per-instruction generator that feeds it: trace's Gen.Next,
-// phaseSwitch, gen, advancePC, dataAddr, hotSet.push, hotSet.at and
-// hotSet.pick, Shared.Peek, Consume and trim, and SideSource.Peek and
-// Consume; sim.Rand's Next, Intn, Uint64n, Float64, Bool, Around and
-// Geometric, and sim's OutputAt and mix (the stream-reading helpers
-// hotSet.at computes a ring's pre-fill with); and isa's
-// Inst.Fingerprint and fnvMix. A make, a map or slice
-// literal, or an append whose result escapes its input slice inside one
-// of these functions runs millions of times per simulated second; the
-// `mmmgate bench` regression gate catches the throughput loss after the
-// fact, this analyzer catches the allocation at compile time. Audited
+// //mmm:hotpath. The annotation marks every function that runs per
+// simulated cycle (the chip's run loop, the core pipeline) or per
+// generated instruction (the trace generator and the sim.Rand and isa
+// helpers it calls); the directive in the source is the one list of
+// them, and `grep -rn '^//mmm:hotpath' internal` prints it. A make, a
+// map or slice literal, or an append whose result escapes its input
+// slice inside one of these functions runs millions of times per
+// simulated second; the `mmmgate bench` regression gate catches the
+// throughput loss after the fact, this analyzer catches the allocation
+// at compile time. Audited
 // sites carry //mmm:hotalloc-ok <reason> (e.g. a cold error path, or a
 // buffer that demonstrably reaches steady-state capacity).
 var HotAlloc = &Analyzer{

@@ -20,16 +20,9 @@
 //   - knobcover: every field of an //mmm:knobcover-annotated struct is
 //     read by its fingerprint/key/seed coverage functions.
 //   - hotalloc:  no make/map/escaping-append allocations inside
-//     functions annotated //mmm:hotpath (the per-cycle loop: core.Chip's
-//     Run, Tick, nextEventAt, policyDecide and pairStatus; cpu.Core's
-//     Tick, settle, armSleep, commit, retire, postStore, issueStore,
-//     issue, execute, fetch and insert, and cpu's checkFingerprint;
-//     and the per-instruction generator: trace.Gen's Next,
-//     phaseSwitch, gen, advancePC and dataAddr, hotSet's push, at and
-//     pick, trace.Shared's Peek, Consume and trim, SideSource's Peek
-//     and Consume; sim.Rand's Next, Intn, Uint64n, Float64, Bool,
-//     Around and Geometric, and sim's OutputAt and mix, which hotSet.at
-//     reads a ring's pre-fill with; isa.Inst's Fingerprint and fnvMix).
+//     functions annotated //mmm:hotpath, the ones that run per
+//     simulated cycle or per generated instruction (`grep -rn
+//     '^//mmm:hotpath' internal` lists them).
 //
 // Audited exceptions are declared in source with //mmm: directives
 // (see Suppressed); every directive requires a reason.

@@ -36,8 +36,8 @@ const (
 	// 1-based attempt sequence number.
 	KindInjection Kind = "injection"
 	// KindBulkStep is one event-horizon bulk segment of the Run loop
-	// (span; Arg = active cores; Cause "idle" for whole-chip idle
-	// jumps).
+	// (span; Arg = cores with an instruction source, 0 for a whole-chip
+	// idle span).
 	KindBulkStep Kind = "bulk-step"
 	// KindMark is a free-form annotation (e.g. relia trial boundaries).
 	KindMark Kind = "mark"
