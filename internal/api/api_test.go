@@ -90,7 +90,6 @@ func TestPrecisionValidateNamesBounds(t *testing.T) {
 	}
 }
 
-
 func TestPrecisionAxis(t *testing.T) {
 	ax := PrecisionAxis()
 	if len(ax.Metrics) != len(PrecisionMetrics) ||

@@ -27,7 +27,8 @@ const (
 // min_trials, max_trials): the largest budget the defaults compute, the
 // worst case at MinHalfWidth rounded up to a whole default wave. A
 // submission cannot schedule more trials per cell than the tightest
-// target needs, and Normalized's rounding cannot overflow.
+// target needs, and a wave so large that Normalized's rounding wraps is
+// refused by name.
 var maxTrials = waveMultiple(int(stats.WorstCaseTrials(MinHalfWidth)), DefaultWaveTrials)
 
 // waveMultiple rounds n up to a whole number of waves.

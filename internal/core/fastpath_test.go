@@ -29,8 +29,9 @@ func buildCell(t *testing.T, kind Kind, plan *fault.Plan) *Chip {
 // TestRunMatchesTickPerCycle: Run's event-horizon bulk stepping and
 // skipping of sleeping (stalled or idle) cores must be cycle-for-cycle
 // equivalent to the per-cycle reference (Tick in a loop, every core
-// every cycle) — identical Metrics for one cell of every system kind. This is the safety net under the hot-path overhaul: any
-// event the bulk loop skips or double-runs shows up as a counter diff.
+// every cycle) — identical Metrics for one cell of every system kind.
+// This is the safety net under the hot-path overhaul: any event the
+// bulk loop skips or double-runs shows up as a counter diff.
 func TestRunMatchesTickPerCycle(t *testing.T) {
 	const warmup, measure = 30_000, 60_000
 	for _, kind := range AllKinds() {
