@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -77,13 +76,14 @@ func (s *server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// writeSSE renders one journal event as an SSE frame.
+// writeSSE renders one journal event as an SSE frame, its data encoded
+// as the journal file encodes it.
 func writeSSE(w http.ResponseWriter, ev *campaign.Event) error {
-	data, err := json.Marshal(ev)
+	frame, err := ev.AppendJSON(fmt.Appendf(nil, "id: %d\nevent: %s\ndata: ", ev.Seq, ev.Type))
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
+	_, err = w.Write(append(frame, "\n\n"...))
 	return err
 }
 

@@ -61,6 +61,12 @@ const (
 // and Metrics payloads — every other event stays compact (Key labels
 // the cell). In adaptive runs, cell-scoped events additionally carry
 // the wave coordinate of the attempt they describe.
+//
+// AppendJSON is the encoder: it writes every journal line and SSE
+// frame. json.Marshal of an Event must yield the same bytes, and the
+// differential test and FuzzEventJSON hold the two together, so a field
+// added here (or to anything an Event carries) needs its line in
+// AppendJSON too.
 type Event struct {
 	Seq     int64         `json:"seq"`
 	Time    time.Time     `json:"time"`

@@ -74,6 +74,7 @@ type Journal struct {
 
 	mu       sync.Mutex
 	f        *os.File
+	line     []byte // the encoding buffer, reused for every event
 	writeErr error
 	events   []Event
 	seq      int64
@@ -117,18 +118,20 @@ func (j *Journal) Path() string {
 }
 
 // emitLocked appends one event: stamps seq and time, persists the
-// JSONL line, and wakes every waiting subscriber. Callers hold j.mu.
-// File errors are sticky — journaling degrades to memory-only rather
-// than failing the campaign (the journal is observational).
+// JSONL line with one Write (so a crash leaves whole lines), and wakes
+// every waiting subscriber. Callers hold j.mu. File errors are sticky —
+// journaling degrades to memory-only rather than failing the campaign
+// (the journal is observational).
 func (j *Journal) emitLocked(ev Event) {
 	j.seq++
 	ev.Seq = j.seq
 	ev.Time = time.Now().UTC()
 	j.events = append(j.events, ev)
 	if j.f != nil && j.writeErr == nil {
-		line, err := json.Marshal(&ev)
+		line, err := ev.AppendJSON(j.line[:0])
 		if err == nil {
-			_, err = j.f.Write(append(line, '\n'))
+			j.line = append(line, '\n')
+			_, err = j.f.Write(j.line)
 		}
 		if err != nil {
 			j.writeErr = err
@@ -281,14 +284,17 @@ func (j *Journal) Finish(err error) {
 	}
 	j.closed = true
 	if j.f != nil {
-		_ = j.f.Close()
+		if err := j.f.Close(); err != nil && j.writeErr == nil {
+			j.writeErr = err
+		}
 		j.f = nil
 	}
 	close(j.wake)
 	j.wake = make(chan struct{})
 }
 
-// Err reports the sticky journal-file write error, if any.
+// Err reports the sticky journal-file error, if any: the first failed
+// write, or else a failed close at Finish.
 func (j *Journal) Err() error {
 	if j == nil {
 		return nil
@@ -312,7 +318,8 @@ func (j *Journal) Events() []Event {
 // closes on the next append (or on Finish), and whether the journal
 // has finished. This is the history-then-live subscription primitive:
 // the full history is the buffer, so a slow consumer never blocks an
-// emitter — it just reads further behind.
+// emitter — it just reads further behind. Sequence numbers are dense
+// from 1 (events[i].Seq == i+1), so the suffix is a slice, not a scan.
 func (j *Journal) EventsSince(after int64) (evs []Event, wake <-chan struct{}, closed bool) {
 	if j == nil {
 		ch := make(chan struct{})
@@ -321,11 +328,9 @@ func (j *Journal) EventsSince(after int64) (evs []Event, wake <-chan struct{}, c
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for i := range j.events {
-		if j.events[i].Seq > after {
-			evs = append(evs, j.events[i:]...)
-			break
-		}
+	after = max(after, 0)
+	if after < int64(len(j.events)) {
+		evs = append(evs, j.events[after:]...)
 	}
 	return evs, j.wake, j.closed
 }

@@ -112,6 +112,24 @@ func TestJournalEventsSince(t *testing.T) {
 	}
 	lastSeq := history[len(history)-1].Seq
 
+	// The suffix starts right after the resume point wherever it falls:
+	// before the history, at its start, in the middle, at its end and
+	// past it.
+	for _, tc := range []struct {
+		after int64
+		want  int
+	}{{-1, len(history)}, {0, len(history)}, {lastSeq / 2, len(history) - int(lastSeq/2)},
+		{lastSeq, 0}, {lastSeq + 5, 0}} {
+		evs, _, _ := j.EventsSince(tc.after)
+		if len(evs) != tc.want {
+			t.Fatalf("EventsSince(%d): %d events, want %d", tc.after, len(evs), tc.want)
+		}
+		if len(evs) > 0 && (evs[0].Seq != max(tc.after, 0)+1 || evs[len(evs)-1].Seq != lastSeq) {
+			t.Fatalf("EventsSince(%d): seqs %d..%d, want %d..%d",
+				tc.after, evs[0].Seq, evs[len(evs)-1].Seq, max(tc.after, 0)+1, lastSeq)
+		}
+	}
+
 	// Caught up: nothing new, not closed, wake pending.
 	evs, wake, closed := j.EventsSince(lastSeq)
 	if len(evs) != 0 || closed {
@@ -210,6 +228,23 @@ func TestJournalFileRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Fatalf("replay diverges from run:\nrun:    %s\nreplay: %s", want.Bytes(), got.Bytes())
+	}
+}
+
+// TestJournalFinishKeepsCloseError: a file error is sticky whether a
+// write or the close at Finish hits it.
+func TestJournalFinishKeepsCloseError(t *testing.T) {
+	j, err := NewJournal("c1", filepath.Join(t.TempDir(), "run.journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Begin(microScale(), 1, nil)
+	if err := j.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j.Finish(nil)
+	if j.Err() == nil {
+		t.Fatal("Finish dropped the journal file's close error")
 	}
 }
 
