@@ -3,7 +3,7 @@ package api
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -136,7 +136,7 @@ type Job struct {
 // into the static baseline's. Waves of one adaptive cell share the
 // cell's key — the wave index is an execution detail, not a cell.
 func (j Job) Key() string {
-	k := fmt.Sprintf("%s/%s", j.Workload, j.Kind)
+	k := j.Workload + "/" + j.Kind.String()
 	if j.Variant != "" {
 		k += "/" + j.Variant
 	}
@@ -165,18 +165,36 @@ func (j Job) SimSeed() uint64 {
 // over the canonical rendering of (version, scale, every job
 // parameter). Equal fingerprints mean byte-identical simulations. Wave
 // jobs additionally render their wave coordinates.
+//
+// The rendering is fixed: every cached result is filed under it, and
+// testdata/fingerprints.json in internal/campaign pins it. It reads
+// "v6|warm=…|meas=…|slice=…|wl=…|kind=…|seed=…|var=…|pabser=…|pabdis=…|
+// tso=…|flush=…|fault=…|fkinds=…|rtrials=…|fpab=…|policy=…", then
+// "|wave=…|off=…" for a wave job: integers in decimal, booleans as
+// true/false and the fault interval as the shortest 'g' form (fmt's %g).
 func (j Job) Fingerprint(sc Scale) string {
-	h := sha256.New()
-	fmt.Fprintf(h,
-		"v%d|warm=%d|meas=%d|slice=%d|wl=%s|kind=%s|seed=%d|var=%s|pabser=%t|pabdis=%t|tso=%t|flush=%d|fault=%g|fkinds=%s|rtrials=%d|fpab=%t|policy=%s",
-		SpecVersion, sc.Warmup, sc.Measure, sc.Timeslice,
-		j.Workload, j.Kind, j.Seed, j.Variant,
-		j.Knobs.PABSerial, j.Knobs.PABDisabled, j.Knobs.TSO,
-		j.Knobs.FlushPerCycle, j.Knobs.FaultInterval,
-		j.Knobs.FaultKinds, j.Knobs.ReliaTrials, j.Knobs.ForcePAB,
-		j.Knobs.Policy)
+	b := make([]byte, 0, 256)
+	b = strconv.AppendInt(append(b, 'v'), SpecVersion, 10)
+	b = strconv.AppendUint(append(b, "|warm="...), sc.Warmup, 10)
+	b = strconv.AppendUint(append(b, "|meas="...), sc.Measure, 10)
+	b = strconv.AppendUint(append(b, "|slice="...), sc.Timeslice, 10)
+	b = append(append(b, "|wl="...), j.Workload...)
+	b = append(append(b, "|kind="...), j.Kind.String()...)
+	b = strconv.AppendUint(append(b, "|seed="...), j.Seed, 10)
+	b = append(append(b, "|var="...), j.Variant...)
+	b = strconv.AppendBool(append(b, "|pabser="...), j.Knobs.PABSerial)
+	b = strconv.AppendBool(append(b, "|pabdis="...), j.Knobs.PABDisabled)
+	b = strconv.AppendBool(append(b, "|tso="...), j.Knobs.TSO)
+	b = strconv.AppendInt(append(b, "|flush="...), int64(j.Knobs.FlushPerCycle), 10)
+	b = strconv.AppendFloat(append(b, "|fault="...), j.Knobs.FaultInterval, 'g', -1, 64)
+	b = append(append(b, "|fkinds="...), j.Knobs.FaultKinds...)
+	b = strconv.AppendInt(append(b, "|rtrials="...), int64(j.Knobs.ReliaTrials), 10)
+	b = strconv.AppendBool(append(b, "|fpab="...), j.Knobs.ForcePAB)
+	b = append(append(b, "|policy="...), j.Knobs.Policy...)
 	if j.Knobs.Wave > 0 {
-		fmt.Fprintf(h, "|wave=%d|off=%d", j.Knobs.Wave, j.Knobs.TrialOffset)
+		b = strconv.AppendInt(append(b, "|wave="...), int64(j.Knobs.Wave), 10)
+		b = strconv.AppendInt(append(b, "|off="...), int64(j.Knobs.TrialOffset), 10)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
