@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // fmtKey and fmtFingerprint are Key and Fingerprint as first written,
@@ -89,16 +87,5 @@ func TestFormatFloatMatchesPercentG(t *testing.T) {
 		if got, want := strconv.FormatFloat(f, 'g', -1, 64), fmt.Sprintf("%g", f); got != want {
 			t.Fatalf("%#x: strconv %s, %%g %s", math.Float64bits(f), got, want)
 		}
-	}
-}
-
-// BenchmarkFingerprint measures the cache address of a relia wave job.
-func BenchmarkFingerprint(b *testing.B) {
-	j := Job{Workload: "apache", Kind: core.KindMMMIPC, Seed: 11, Variant: "mixed-r25000",
-		Knobs: Knobs{FaultInterval: 25_000, ReliaTrials: 12, Policy: "fault-escalation", Wave: 3, TrialOffset: 24}}
-	sc := Scale{Warmup: 150_000, Measure: 300_000, Timeslice: 60_000}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = j.Fingerprint(sc)
 	}
 }
