@@ -26,8 +26,9 @@ var pinnedScales = map[string]Scale{"quick": QuickScale(), "full": DefaultScale(
 
 // fingerprintJobs lists the pinned jobs: every registered campaign for
 // apache and pmake at seed 11, wave jobs of adaptive cells (a wave
-// past the first, so TrialOffset is set), and a fault-injection job
-// whose knobs take non-default values the registry never sets.
+// past the first, so TrialOffset is set), and fault-injection jobs
+// whose knobs take values the registry never sets, one with an
+// interval that %g renders in exponent form.
 func fingerprintJobs(t *testing.T) []Job {
 	t.Helper()
 	var jobs []Job
@@ -50,7 +51,9 @@ func fingerprintJobs(t *testing.T) []Job {
 	}
 	jobs = append(jobs, Job{Workload: "pmake", Kind: core.KindMMMIPC, Seed: 1<<63 + 5, Variant: "flt",
 		Knobs: Knobs{PABDisabled: true, TSO: true, FlushPerCycle: 3, FaultInterval: 12_345.678,
-			FaultKinds: "result-flip,tlb-flip", Policy: "duty-cycle:9000:40"}})
+			FaultKinds: "result-flip,tlb-flip", Policy: "duty-cycle:9000:40"}},
+		Job{Workload: "apache", Kind: core.KindReunion, Seed: 23, Variant: "rare",
+			Knobs: Knobs{PABSerial: true, FaultInterval: 2.5e6, FaultKinds: "tlb-flip", ReliaTrials: 3, ForcePAB: true}})
 	return jobs
 }
 
