@@ -113,8 +113,8 @@ func (e *encoder) float(f float64) {
 	}
 }
 
-// plain marks the bytes encoding/json writes unescaped: printable
-// ASCII except the quote, the backslash and the HTML characters <>&.
+// plain marks the bytes encoding/json writes unescaped: ASCII from the
+// space up, except the quote, the backslash and the HTML characters <>&.
 var plain = func() (t [256]bool) {
 	for c := 0x20; c < utf8.RuneSelf; c++ {
 		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))

@@ -166,12 +166,9 @@ func (j Job) SimSeed() uint64 {
 // parameter). Equal fingerprints mean byte-identical simulations. Wave
 // jobs additionally render their wave coordinates.
 //
-// The rendering is fixed: every cached result is filed under it, and
-// testdata/fingerprints.json in internal/campaign pins it. It reads
-// "v6|warm=…|meas=…|slice=…|wl=…|kind=…|seed=…|var=…|pabser=…|pabdis=…|
-// tso=…|flush=…|fault=…|fkinds=…|rtrials=…|fpab=…|policy=…", then
-// "|wave=…|off=…" for a wave job: integers in decimal, booleans as
-// true/false and the fault interval as the shortest 'g' form (fmt's %g).
+// The rendering must not move without a SpecVersion bump: every cached
+// result is filed under it, and testdata/fingerprints.json in
+// internal/campaign pins it.
 func (j Job) Fingerprint(sc Scale) string {
 	b := make([]byte, 0, 256)
 	b = strconv.AppendInt(append(b, 'v'), SpecVersion, 10)
