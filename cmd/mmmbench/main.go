@@ -1,5 +1,6 @@
 // Command mmmbench regenerates every table and figure of the paper's
-// evaluation (Section 5) on the simulated Mixed-Mode Multicore:
+// evaluation (Section 5) on the simulated Mixed-Mode Multicore, plus
+// the design studies and ablations around it:
 //
 //	mmmbench                  # everything, default scale
 //	mmmbench -exp fig5a       # one experiment
@@ -9,8 +10,13 @@
 //	mmmbench -json out.json   # machine-readable per-experiment results
 //	mmmbench -workers n1:8078,n2:8078  # shard jobs across mmmd -worker nodes
 //
-// Experiments: fig5a, fig5b, fig6a, fig6b, table1, table2, pab,
-// singleos, faults, relia, policy.
+// Experiments, in the order -exp all runs them: fig5a, fig5b, fig6a,
+// fig6b, table1, table2, pab, singleos, faults, relia, policy, tso,
+// flush. Every experiment runs on one campaign runner with one result
+// cache (-cache, or in memory for the process), so an experiment
+// whose cells another already simulated reuses them: fig5b and
+// table2 read fig5a's cells, fig6b and table1 fig6a's, and policy's
+// static baseline is fig6a's MMM-IPC column.
 package main
 
 import (
@@ -28,6 +34,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/mode"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // expResult is one experiment's machine-readable record, consumed by
@@ -42,9 +49,68 @@ type expResult struct {
 	Trials int `json:"trials,omitempty"`
 }
 
+// experiment is one entry of the evaluation: the -exp name and the
+// study that renders its table and counts the trials it ran.
+type experiment struct {
+	name  string
+	study func(exp.Config) (t *stats.Table, trials int, err error)
+}
+
+// rendered adapts a study and its table renderer to an experiment
+// without a trial axis.
+func rendered[R any](study func(exp.Config) ([]R, error), render func([]R) *stats.Table) func(exp.Config) (*stats.Table, int, error) {
+	return func(c exp.Config) (*stats.Table, int, error) {
+		rows, err := study(c)
+		if err != nil {
+			return nil, 0, err
+		}
+		return render(rows), 0, nil
+	}
+}
+
+// experiments is the evaluation, in the order -exp all runs it.
+var experiments = []experiment{
+	{"fig5a", rendered(exp.Figure5, exp.Figure5aTable)},
+	{"fig5b", rendered(exp.Figure5, exp.Figure5bTable)},
+	{"fig6a", rendered(exp.Figure6, exp.Figure6aTable)},
+	{"fig6b", rendered(exp.Figure6, exp.Figure6bTable)},
+	{"table1", rendered(exp.Table1, exp.Table1Table)},
+	{"table2", rendered(exp.Table2, exp.Table2Table)},
+	{"pab", rendered(exp.PABStudy, exp.PABTable)},
+	{"singleos", rendered(exp.SingleOSOverhead, exp.SingleOSTable)},
+	{"faults", rendered(func(c exp.Config) ([]exp.FaultRow, error) {
+		return exp.FaultStudy(c, "apache", 40_000)
+	}, exp.FaultTable)},
+	{"relia", func(c exp.Config) (*stats.Table, int, error) {
+		rows, err := exp.ReliabilityStudy(c)
+		if err != nil {
+			return nil, 0, err
+		}
+		trials := 0
+		for _, r := range rows {
+			trials += r.Trials
+		}
+		return exp.ReliabilityTable(rows), trials, nil
+	}},
+	{"policy", rendered(exp.PolicyStudy, exp.PolicyTable)},
+	{"tso", rendered(exp.TSOAblation, exp.TSOTable)},
+	{"flush", rendered(func(c exp.Config) ([]exp.FlushRow, error) {
+		return exp.FlushAblation(c, "oltp")
+	}, func(rows []exp.FlushRow) *stats.Table { return exp.FlushTable("oltp", rows) })},
+}
+
+// experimentNames lists the -exp values: all, then every experiment.
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return names
+}
+
 func main() {
 	var (
-		which     = flag.String("exp", "all", "experiment: all,fig5a,fig5b,fig6a,fig6b,table1,table2,pab,singleos,faults,relia,policy")
+		which     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(), ","))
 		policies  = flag.String("policies", "", "comma-separated mode-policy axis for -exp policy (e.g. 'static,duty-cycle:60000:25'); empty sweeps every registered policy")
 		quick     = flag.Bool("quick", false, "reduced scale for a fast smoke run")
 		warmup    = flag.Uint64("warmup", 0, "override warmup cycles")
@@ -53,7 +119,7 @@ func main() {
 		seeds     = flag.Int("seeds", 0, "override number of seeds")
 		wls       = flag.String("workloads", "", "comma-separated workload subset (empty = all six)")
 		par       = flag.Int("parallel", 0, "override worker parallelism")
-		cacheDir  = flag.String("cache", "", "campaign result cache directory (empty = no cache)")
+		cacheDir  = flag.String("cache", "", "campaign result cache directory (empty = in memory, for this run only)")
 		hw        = flag.Float64("halfwidth", 0, "run -exp relia with sequential stopping: trials in waves until each cell's 95% interval on coverage is within this half-width (e.g. 0.05)")
 		fixTrials = flag.Int("trials", 0, "override -exp relia fixed trials per cell (sizes a fixed-batch run to an adaptive run's worst-case budget; ignored with -halfwidth)")
 		workers   = flag.String("workers", "", "comma-separated mmmd worker fleet (host:port,...); shards campaign jobs remotely")
@@ -125,9 +191,6 @@ func main() {
 			cfg.Seeds = append(cfg.Seeds, uint64(11+10*i))
 		}
 	}
-	if *par > 0 {
-		cfg.Parallel = *par
-	}
 	if *wls != "" {
 		for _, w := range strings.Split(*wls, ",") {
 			if w = strings.TrimSpace(w); w != "" {
@@ -149,13 +212,16 @@ func main() {
 		cfg.Precision = &campaign.Precision{HalfWidth: *hw}
 	}
 	cfg.ReliaTrials = *fixTrials
+	// One runner with one cache serves every experiment, so cells one
+	// experiment simulated are hits for the next.
+	var cache campaign.Cache = campaign.NewMemCache()
 	if *cacheDir != "" {
-		cache, err := campaign.NewDiskCache(*cacheDir)
+		disk, err := campaign.NewDiskCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mmmbench: %v\n", err)
 			os.Exit(1)
 		}
-		cfg.Cache = cache
+		cache = disk
 	}
 	if *workers != "" {
 		fleet := campaign.ParseWorkerList(*workers)
@@ -167,144 +233,37 @@ func main() {
 		// reruns resume from each other's results.
 		cfg.Runner = campaign.NewDispatcher(campaign.DispatchOptions{
 			Workers: fleet,
-			Cache:   cfg.Cache,
+			Cache:   cache,
 			Addr:    campaign.CoordinatorAddr(*coord),
 		})
+	} else {
+		cfg.Runner = campaign.New(campaign.Options{Parallel: *par, Cache: cache})
 	}
 
 	var results []expResult
-	matched := false
-	trials := 0 // set by experiments with a trial axis, consumed per run
-	run := func(name string, fn func() (int, error)) {
-		if *which != "all" && !strings.EqualFold(*which, name) {
-			return
+	for _, e := range experiments {
+		if *which != "all" && !strings.EqualFold(*which, e.name) {
+			continue
 		}
-		matched = true
 		start := time.Now()
-		trials = 0
-		rows, err := fn()
+		t, trials, err := e.study(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmmbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "mmmbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
+		fmt.Println(t)
 		wall := time.Since(start)
-		fmt.Printf("[%s completed in %v]\n\n", name, wall.Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", e.name, wall.Round(time.Millisecond))
 		results = append(results, expResult{
-			Experiment: name,
-			Rows:       rows,
+			Experiment: e.name,
+			Rows:       len(t.Rows),
 			WallMS:     float64(wall.Microseconds()) / 1000,
 			Trials:     trials,
 		})
 	}
-
-	var fig5 []exp.Fig5Row
-	run("fig5a", func() (int, error) {
-		rows, err := exp.Figure5(cfg)
-		if err != nil {
-			return 0, err
-		}
-		fig5 = rows
-		fmt.Println(exp.Figure5aTable(rows))
-		return len(rows), nil
-	})
-	run("fig5b", func() (int, error) {
-		rows := fig5
-		if rows == nil {
-			var err error
-			rows, err = exp.Figure5(cfg)
-			if err != nil {
-				return 0, err
-			}
-		}
-		fmt.Println(exp.Figure5bTable(rows))
-		return len(rows), nil
-	})
-
-	var fig6 []exp.Fig6Row
-	run("fig6a", func() (int, error) {
-		rows, err := exp.Figure6(cfg)
-		if err != nil {
-			return 0, err
-		}
-		fig6 = rows
-		fmt.Println(exp.Figure6aTable(rows))
-		return len(rows), nil
-	})
-	run("fig6b", func() (int, error) {
-		rows := fig6
-		if rows == nil {
-			var err error
-			rows, err = exp.Figure6(cfg)
-			if err != nil {
-				return 0, err
-			}
-		}
-		fmt.Println(exp.Figure6bTable(rows))
-		return len(rows), nil
-	})
-
-	run("table1", func() (int, error) {
-		rows, err := exp.Table1(cfg)
-		if err != nil {
-			return 0, err
-		}
-		fmt.Println(exp.Table1Table(rows))
-		return len(rows), nil
-	})
-	run("table2", func() (int, error) {
-		rows, err := exp.Table2(cfg)
-		if err != nil {
-			return 0, err
-		}
-		fmt.Println(exp.Table2Table(rows))
-		return len(rows), nil
-	})
-	run("pab", func() (int, error) {
-		rows, err := exp.PABStudy(cfg)
-		if err != nil {
-			return 0, err
-		}
-		fmt.Println(exp.PABTable(rows))
-		return len(rows), nil
-	})
-	run("singleos", func() (int, error) {
-		rows, err := exp.SingleOSOverhead(cfg)
-		if err != nil {
-			return 0, err
-		}
-		fmt.Println(exp.SingleOSTable(rows))
-		return len(rows), nil
-	})
-	run("faults", func() (int, error) {
-		rows, err := exp.FaultStudy(cfg, "apache", 40_000)
-		if err != nil {
-			return 0, err
-		}
-		fmt.Println(exp.FaultTable(rows))
-		return len(rows), nil
-	})
-	run("relia", func() (int, error) {
-		rows, err := exp.ReliabilityStudy(cfg)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range rows {
-			trials += r.Trials
-		}
-		fmt.Println(exp.ReliabilityTable(rows))
-		return len(rows), nil
-	})
-	run("policy", func() (int, error) {
-		rows, err := exp.PolicyStudy(cfg)
-		if err != nil {
-			return 0, err
-		}
-		fmt.Println(exp.PolicyTable(rows))
-		return len(rows), nil
-	})
-
-	if !matched {
-		fmt.Fprintf(os.Stderr, "mmmbench: unknown experiment %q (see -exp usage)\n", *which)
+	if results == nil {
+		fmt.Fprintf(os.Stderr, "mmmbench: unknown experiment %q (have %s)\n",
+			*which, strings.Join(experimentNames(), ", "))
 		os.Exit(2)
 	}
 
@@ -326,9 +285,6 @@ func writeJSON(path string, results []expResult) error {
 		Experiments []expResult `json:"experiments"`
 		TotalWallMS float64     `json:"total_wall_ms"`
 	}{Experiments: results, TotalWallMS: total}
-	if doc.Experiments == nil {
-		doc.Experiments = []expResult{}
-	}
 	out := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)

@@ -163,18 +163,7 @@ func runWorker(ctx context.Context, addr, name string, capacity int, cache campa
 	})
 	var reg *obs.Registry
 	reg, jobSeconds, traceEvents, traceDropped = workerRegistry(w, time.Now())
-
-	// Worker nodes expose the same observability surface as the
-	// coordinator: /metrics always, pprof only behind -debug. The
-	// protocol endpoints keep their own mux so the lease paths are
-	// untouched.
-	mux := http.NewServeMux()
-	mux.Handle("/", w.Handler())
-	mux.HandleFunc("GET /metrics", metricsHandler(reg))
-	if debug {
-		mountPprof(mux)
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: accessLog(mux, reg)}
+	httpSrv := &http.Server{Addr: addr, Handler: workerHandler(w, reg, debug)}
 
 	go func() {
 		<-ctx.Done()

@@ -159,6 +159,21 @@ func workerRegistry(w *campaign.Worker, started time.Time) (r *obs.Registry, job
 	return r, jobSeconds, traceEvents, traceDropped
 }
 
+// workerHandler routes a -worker node: the worker's protocol endpoints
+// behind the same observability surface as the coordinator — /metrics
+// always, pprof only behind -debug, every request through accessLog.
+// The protocol endpoints keep their own mux so the lease paths are
+// untouched.
+func workerHandler(w *campaign.Worker, reg *obs.Registry, debug bool) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", w.Handler())
+	mux.HandleFunc("GET /metrics", metricsHandler(reg))
+	if debug {
+		mountPprof(mux)
+	}
+	return accessLog(mux, reg)
+}
+
 // metricsHandler serves a registry as Prometheus text exposition.
 func metricsHandler(reg *obs.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
@@ -200,11 +215,39 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// routeLabel collapses a request path onto its route pattern (bounded
-// label cardinality) and extracts the campaign run id when the path
-// carries one. The /v1 prefix stays in the pattern, so requests to the
-// removed unversioned spellings (404s) keep labels of their own.
+// Label values for requests outside the service's vocabulary: a path
+// no route serves, and a method other than the nine standard ones
+// (OpenTelemetry's "_OTHER"). Each folds every such request into one
+// value, so a client cannot add mmmd_http_requests_total series by
+// sending new paths or methods.
+const (
+	unmatchedRoute = "unmatched"
+	otherMethod    = "_OTHER"
+)
+
+// routes is the path-label vocabulary: every route the coordinator and
+// the -worker mux serve, plus the removed unversioned spellings of the
+// API routes (404s that keep labels of their own).
+var routes = func() map[string]bool {
+	m := map[string]bool{"/healthz": true, "/metrics": true, "/debug/pprof/": true}
+	for _, p := range []string{"cmdline", "profile", "symbol", "trace",
+		"allocs", "block", "goroutine", "heap", "mutex", "threadcreate"} {
+		m["/debug/pprof/"+p] = true
+	}
+	for _, prefix := range []string{api.PathPrefix, ""} {
+		for _, r := range []string{"/catalog", "/status", "/attach", "/campaigns", "/campaigns/{id}",
+			"/campaigns/{id}/results", "/campaigns/{id}/events", "/campaigns/{id}/cancel"} {
+			m[prefix+r] = true
+		}
+	}
+	return m
+}()
+
+// routeLabel collapses a request path onto its route pattern and
+// extracts the campaign run id when the path carries one. A path
+// outside routes is unmatchedRoute, with no run id.
 func routeLabel(path string) (pattern, runID string) {
+	pattern = path
 	parts := strings.Split(strings.Trim(path, "/"), "/")
 	prefix := ""
 	if len(parts) >= 1 && parts[0] == strings.Trim(api.PathPrefix, "/") {
@@ -213,17 +256,31 @@ func routeLabel(path string) (pattern, runID string) {
 	}
 	if len(parts) >= 2 && parts[0] == "campaigns" && parts[1] != "" {
 		runID = parts[1]
-		if len(parts) == 2 {
-			return prefix + "/campaigns/{id}", runID
+		pattern = prefix + "/campaigns/{id}"
+		if len(parts) > 2 {
+			pattern += "/" + strings.Join(parts[2:], "/")
 		}
-		return prefix + "/campaigns/{id}/" + strings.Join(parts[2:], "/"), runID
 	}
-	return path, ""
+	if !routes[pattern] {
+		return unmatchedRoute, ""
+	}
+	return pattern, runID
+}
+
+// methodLabel passes the standard HTTP methods through and folds every
+// other method into otherMethod.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+		return method
+	}
+	return otherMethod
 }
 
 // accessLog wraps a handler with the service's one logging middleware:
 // every request is logged (method, path, status, latency, run id when
-// present) and counted into the registry.
+// present) and counted into the registry under bounded labels.
 func accessLog(next http.Handler, reg *obs.Registry) http.Handler {
 	seconds := reg.Histogram("mmmd_http_request_seconds",
 		"HTTP request latency.", nil)
@@ -234,7 +291,7 @@ func accessLog(next http.Handler, reg *obs.Registry) http.Handler {
 		elapsed := time.Since(start)
 		pattern, runID := routeLabel(req.URL.Path)
 		reg.Counter("mmmd_http_requests_total", "HTTP requests by route and status.",
-			"method", req.Method, "path", pattern, "code", strconv.Itoa(sw.code)).Inc()
+			"method", methodLabel(req.Method), "path", pattern, "code", strconv.Itoa(sw.code)).Inc()
 		seconds.Observe(elapsed.Seconds())
 		if runID != "" {
 			log.Printf("mmmd: http %s %s -> %d in %s run=%s",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,6 +101,81 @@ func TestAccessLogCountsRequests(t *testing.T) {
 	if bytes.Contains(data, []byte(`path="/v1/campaigns/c1"`)) {
 		t.Error("raw run id leaked into the path label (unbounded cardinality)")
 	}
+	checkRequestSeriesBounded(t, ts.URL)
+}
+
+// TestWorkerAccessLogBounded: the -worker mux counts requests under the
+// same bounded labels as the coordinator.
+func TestWorkerAccessLogBounded(t *testing.T) {
+	w := campaign.NewWorker(campaign.WorkerOptions{Name: "wx", Capacity: 1})
+	t.Cleanup(w.Stop)
+	reg, _, _, _ := workerRegistry(w, time.Now())
+	ts := httptest.NewServer(workerHandler(w, reg, false))
+	t.Cleanup(ts.Close)
+	do(t, http.MethodGet, ts.URL+"/healthz", "")
+	do(t, http.MethodGet, ts.URL+"/metrics", "")
+	checkRequestSeriesBounded(t, ts.URL)
+}
+
+// checkRequestSeriesBounded sends 50 distinct unknown paths (under the
+// API prefix, under a run, and at the root) and 50 distinct unknown
+// methods to a server that has already served GET /healthz and
+// GET /metrics, and checks that together they add exactly two
+// mmmd_http_requests_total series: one for the unmatched route, one
+// for the unknown method.
+func checkRequestSeriesBounded(t *testing.T, url string) {
+	t.Helper()
+	before := requestSeries(t, url)
+	for i := 0; i < 50; i++ {
+		var path string
+		switch i % 3 {
+		case 0:
+			path = fmt.Sprintf("/v1/nope%d", i)
+		case 1:
+			path = fmt.Sprintf("/v1/campaigns/c1/nope%d", i)
+		default:
+			path = fmt.Sprintf("/nope%d/x", i)
+		}
+		do(t, http.MethodGet, url+path, "")
+		do(t, fmt.Sprintf("BREW%d", i), url+"/healthz", "")
+	}
+	after := requestSeries(t, url)
+	var added []string
+	for s := range after {
+		if !before[s] {
+			added = append(added, s)
+		}
+	}
+	want := map[string]bool{
+		`mmmd_http_requests_total{code="404",method="GET",path="unmatched"}`:   true,
+		`mmmd_http_requests_total{code="405",method="_OTHER",path="/healthz"}`: true,
+	}
+	if len(added) != len(want) {
+		t.Fatalf("100 unknown requests added %d series, want %d: %v", len(added), len(want), added)
+	}
+	for _, s := range added {
+		if !want[s] {
+			t.Errorf("unexpected series %s", s)
+		}
+	}
+}
+
+// requestSeries scrapes url's /metrics and returns the set of
+// mmmd_http_requests_total series.
+func requestSeries(t *testing.T, url string) map[string]bool {
+	t.Helper()
+	_, data := do(t, http.MethodGet, url+"/metrics", "")
+	fams, err := obs.ParseExposition(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, data)
+	}
+	out := map[string]bool{}
+	if f := fams["mmmd_http_requests_total"]; f != nil {
+		for _, s := range f.Series {
+			out[s] = true
+		}
+	}
+	return out
 }
 
 func TestRouteLabel(t *testing.T) {
@@ -113,12 +189,30 @@ func TestRouteLabel(t *testing.T) {
 		{"/campaigns", "/campaigns", ""},
 		{"/status", "/status", ""},
 		{"/metrics", "/metrics", ""},
+		{"/v1/campaigns/c3/results", "/v1/campaigns/{id}/results", "c3"},
+		{"/v1/attach", "/v1/attach", ""},
+		{"/healthz", "/healthz", ""},
+		{"/debug/pprof/heap", "/debug/pprof/heap", ""},
+		// Anything no route serves folds into one value, run id or not.
+		{"/", unmatchedRoute, ""},
+		{"/v1/nope", unmatchedRoute, ""},
+		{"/v1/campaigns/c3/nope", unmatchedRoute, ""},
+		{"/v1/campaigns/c3/results/x", unmatchedRoute, ""},
+		{"/debug/pprof/nope", unmatchedRoute, ""},
 	}
 	for _, tc := range cases {
 		pattern, id := routeLabel(tc.path)
 		if pattern != tc.pattern || id != tc.id {
 			t.Errorf("routeLabel(%q) = (%q, %q), want (%q, %q)",
 				tc.path, pattern, id, tc.pattern, tc.id)
+		}
+	}
+	for method, want := range map[string]string{
+		http.MethodGet: http.MethodGet, http.MethodPost: http.MethodPost,
+		http.MethodDelete: http.MethodDelete, "get": otherMethod, "BREW": otherMethod,
+	} {
+		if got := methodLabel(method); got != want {
+			t.Errorf("methodLabel(%q) = %q, want %q", method, got, want)
 		}
 	}
 }

@@ -257,15 +257,6 @@ func (c *Cache) Invalidate(pa uint64) (Line, bool) {
 	return Line{}, false
 }
 
-// SetState updates the state of the line holding pa if present.
-func (c *Cache) SetState(pa uint64, st State) bool {
-	if l := c.Probe(pa); l != nil {
-		l.State = st
-		return true
-	}
-	return false
-}
-
 // Walk calls fn for every valid line. fn may mutate the line; if fn
 // returns false the walk stops. Iteration order is deterministic
 // (set-major), which the Leave-DMR flush engine relies on.
@@ -276,14 +267,6 @@ func (c *Cache) Walk(fn func(l *Line) bool) {
 				return
 			}
 		}
-	}
-}
-
-// InvalidateAll clears the entire cache (used by tests and by
-// gang-invalidation ablations).
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i].State = Invalid
 	}
 }
 

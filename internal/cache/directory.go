@@ -78,13 +78,6 @@ func (d *Directory) SetOwner(la uint64, core int) {
 	d.store(la, e)
 }
 
-// ClearOwner demotes the line to un-owned while keeping sharers.
-func (d *Directory) ClearOwner(la uint64) {
-	e := d.lookup(la)
-	e.owner = NoOwner
-	d.store(la, e)
-}
-
 // TakeExclusive records that core now holds the only (Modified) copy,
 // returning the previous sharers (excluding core) that must be
 // invalidated.

@@ -502,20 +502,3 @@ func (h *Hierarchy) FlushL2(core int, now sim.Cycle) (done sim.Cycle, writebacks
 	cycles := sim.Cycle(l2.NumLines()/h.cfg.FlushPerCycle) + sim.Cycle(wb)
 	return now + cycles, wb
 }
-
-// InvalidateIncoherent drops every incoherent line from a core's
-// private hierarchy without the line-by-line timing cost; used by tests
-// and by the gang-invalidate ablation.
-func (h *Hierarchy) InvalidateIncoherent(core int) int {
-	n := 0
-	h.L2[core].Walk(func(l *Line) bool {
-		if !l.Coherent {
-			h.L1D[core].Invalidate(l.Addr)
-			h.L1I[core].Invalidate(l.Addr)
-			l.State = Invalid
-			n++
-		}
-		return true
-	})
-	return n
-}

@@ -225,18 +225,6 @@ func TestFlushL2Semantics(t *testing.T) {
 	}
 }
 
-func TestInvalidateIncoherent(t *testing.T) {
-	h := New(smallCfg())
-	h.IncoherentStore(0, 0xe000, 0)
-	h.Load(0, 0xf000, 10)
-	if n := h.InvalidateIncoherent(0); n != 1 {
-		t.Fatalf("dropped %d lines, want 1", n)
-	}
-	if h.L2[0].Probe(0xf000) == nil {
-		t.Fatal("coherent line dropped")
-	}
-}
-
 // TestCoherenceInvariant: under random coherent traffic, at most one
 // L2 holds a line in a dirty state, and if any L2 holds it Modified no
 // other L2 holds it at all.

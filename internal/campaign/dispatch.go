@@ -61,8 +61,8 @@ const (
 // sharded campaign is byte-identical to a local one. Around the board
 // it keeps the fleet's concerns: attaching the workers, reaping
 // expired leases, backing off failing workers and detecting a lost
-// fleet. It is stateless across Run calls (each run gets its own board
-// and listener) and safe for concurrent Runs.
+// fleet. It is stateless across RunSpec calls (each run gets its own
+// board and listener) and safe for concurrent runs.
 type Dispatcher struct {
 	opts DispatchOptions
 }
@@ -81,21 +81,15 @@ func NewDispatcher(opts DispatchOptions) *Dispatcher {
 	return &Dispatcher{opts: opts}
 }
 
-// Run implements Runner. Cache hits are resolved on the coordinator;
-// the rest go on the board, the fleet is invited to pull, and the call
-// blocks until every job completed, one failed terminally, or ctx was
-// cancelled — in which case every outstanding lease is revoked before
-// returning, so no worker's late result can be double-counted by a
-// successor run (re-running simply resumes from the cache).
-func (d *Dispatcher) Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error) {
-	rs, _, err := d.runPlan(ctx, fixedPlan(sc, jobs))
-	return rs, err
-}
-
-// RunSpec executes a whole campaign spec across the fleet: a
-// fixed-batch spec dispatches exactly as Run does; a spec with a
-// Precision block runs adaptively, the board re-leasing capacity freed
-// by retired cells to the widest remaining intervals.
+// RunSpec implements Runner across the fleet. Cache hits are resolved
+// on the coordinator; the rest go on the board, the fleet is invited to
+// pull, and the call blocks until every cell retired, one job failed
+// terminally, or ctx was cancelled — in which case every outstanding
+// lease is revoked before returning, so no worker's late result can be
+// double-counted by a successor run (re-running simply resumes from the
+// cache). A spec with a Precision block runs adaptively, the board
+// re-leasing capacity freed by retired cells to the widest remaining
+// intervals.
 func (d *Dispatcher) RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error) {
 	p, err := newPlan(sc, spec)
 	if err != nil {

@@ -104,17 +104,16 @@ func (rs *ResultSet) ByKey() map[string][]core.Metrics {
 	return out
 }
 
-// Run executes jobs on the bounded pool, serving and filling the cache,
-// and returns the ordered results. It stops early when ctx is
-// cancelled or a job fails, returning the first error.
+// Run executes an expanded job list on the bounded pool, serving and
+// filling the cache, and returns the ordered results. It stops early
+// when ctx is cancelled or a job fails, returning the first error.
 func (e *Engine) Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error) {
 	rs, _, err := e.runPlan(ctx, fixedPlan(sc, jobs))
 	return rs, err
 }
 
-// RunSpec executes a whole campaign spec: a fixed-batch spec runs its
-// expanded jobs exactly as Run does; a spec with a Precision block runs
-// adaptively.
+// RunSpec implements Runner: a fixed-batch spec runs its expanded jobs
+// exactly as Run does; a spec with a Precision block runs adaptively.
 func (e *Engine) RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error) {
 	p, err := newPlan(sc, spec)
 	if err != nil {

@@ -15,8 +15,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current implementation")
 
 // goldenJobs covers every evaluated system kind plus the knob paths
-// (serial PAB, fault injection, reliability batches) at a small fixed
-// scale, one cell each.
+// (serial PAB, fault injection, reliability batches, mode policies,
+// TSO, the Leave-DMR flush rate) at a small fixed scale, one cell
+// each.
 func goldenJobs() []Job {
 	kinds := []core.Kind{
 		core.KindNoDMR2X, core.KindNoDMR, core.KindReunion, core.KindDMRBase,
@@ -44,6 +45,12 @@ func goldenJobs() []Job {
 			Knobs: Knobs{Policy: "duty-cycle"}},
 		Job{Workload: "apache", Kind: core.KindMMMIPC, Seed: 11, Variant: "duty-flt",
 			Knobs: Knobs{Policy: "duty-cycle:9000:40", FaultInterval: 5_000}},
+		// The two ablation knobs: Reunion under TSO (the store buffer
+		// path) and MMM-TP flushing four lines per cycle on Leave-DMR.
+		Job{Workload: "apache", Kind: core.KindReunion, Seed: 11, Variant: "tso",
+			Knobs: Knobs{TSO: true}},
+		Job{Workload: "apache", Kind: core.KindMMMTP, Seed: 11, Variant: "flush4",
+			Knobs: Knobs{FlushPerCycle: 4}},
 	)
 	return jobs
 }

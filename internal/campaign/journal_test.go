@@ -706,7 +706,7 @@ func TestJournalExactlyOnceUnderWorkerDeath(t *testing.T) {
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		rs, err := d.Run(context.Background(), microScale(), jobs)
+		rs, err := d.RunSpec(context.Background(), microScale(), Spec{Jobs: jobs})
 		if err != nil {
 			res <- outcome{nil, err}
 			return

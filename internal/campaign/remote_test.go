@@ -46,19 +46,11 @@ func dispatcherFor(cache Cache, ttl time.Duration, urls ...string) *Dispatcher {
 	})
 }
 
-// runRows executes jobs on a runner and renders the canonical row
-// bytes.
+// runRows executes a job list on a runner and renders the canonical
+// row bytes.
 func runRows(t *testing.T, r Runner, jobs []Job) ([]byte, *ResultSet) {
 	t.Helper()
-	rs, err := r.Run(context.Background(), microScale(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := stats.WriteRowsJSON(&buf, Summarize(rs)); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), rs
+	return runSpecRows(t, r, Spec{Jobs: jobs})
 }
 
 // TestDistributedMatchesLocal is the tentpole guarantee: a campaign
@@ -141,7 +133,7 @@ func TestWorkerKilledMidLeaseReassigns(t *testing.T) {
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		rs, err := d.Run(context.Background(), microScale(), jobs)
+		rs, err := d.RunSpec(context.Background(), microScale(), Spec{Jobs: jobs})
 		if err != nil {
 			res <- outcome{nil, err}
 			return
@@ -192,7 +184,7 @@ func TestCancelMidDispatchRevokesLeases(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := d.Run(ctx, microScale(), jobs)
+		_, err := d.RunSpec(ctx, microScale(), Spec{Jobs: jobs})
 		errCh <- err
 	}()
 
@@ -252,7 +244,7 @@ func TestShutdownNeverDoubleCounts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := d.Run(ctx, microScale(), jobs)
+		_, err := d.RunSpec(ctx, microScale(), Spec{Jobs: jobs})
 		errCh <- err
 	}()
 	<-started
@@ -583,7 +575,7 @@ func TestStallDetectionFailsDeadFleet(t *testing.T) {
 		LeaseTTL:     100 * time.Millisecond,
 		StallTimeout: 300 * time.Millisecond,
 	})
-	_, err := d.Run(context.Background(), microScale(), determinismJobs(t))
+	_, err := d.RunSpec(context.Background(), microScale(), Spec{Jobs: determinismJobs(t)})
 	if err == nil || !strings.Contains(err.Error(), "fleet lost") {
 		t.Fatalf("dead fleet returned %v, want fleet-lost error", err)
 	}

@@ -2,16 +2,14 @@ package campaign
 
 import "context"
 
-// Runner executes campaigns at a scale and returns the ordered result
-// set. It is the seam between campaign *definition* (Spec/Expand) and
+// Runner executes a campaign spec at a scale and returns the ordered
+// result set. It is the seam between campaign *definition* (Spec) and
 // campaign *execution*: the local bounded worker pool (Engine) and the
 // remote fleet dispatcher (Dispatcher) both implement it, so every
 // front end — internal/exp tables, mmmbench, the mmmd service — can run
-// a sweep on one box or across a worker fleet without caring which.
-// Run takes an expanded job set; RunSpec takes a whole spec, which an
-// adaptive-precision campaign needs — its jobs are not known up front
-// (the Precision block drives sequential stopping). For a spec without
-// a Precision block RunSpec behaves exactly like Run on its expansion.
+// a sweep on one box or across a worker fleet without caring which. A
+// spec without a Precision block runs its expanded jobs, one cell each;
+// a spec with one runs adaptively, its jobs scheduled in waves.
 //
 // Implementations must uphold the engine's contract: Results are in
 // expansion order regardless of scheduling, the run stops on the first
@@ -19,7 +17,6 @@ import "context"
 // — the same input produces byte-identical Summarize rows however the
 // work was placed.
 type Runner interface {
-	Run(ctx context.Context, sc Scale, jobs []Job) (*ResultSet, error)
 	RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, error)
 }
 

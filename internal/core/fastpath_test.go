@@ -13,12 +13,22 @@ import (
 // buildCell constructs one benchmark cell deterministically.
 func buildCell(t *testing.T, kind Kind, plan *fault.Plan) *Chip {
 	t.Helper()
+	return buildCellWith(t, kind, plan, nil)
+}
+
+// buildCellWith is buildCell with tweak applied to the chip's config
+// first (nil for the default).
+func buildCellWith(t *testing.T, kind Kind, plan *fault.Plan, tweak func(*sim.Config)) *Chip {
+	t.Helper()
 	wl, err := workload.ByName("apache")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
 	cfg.TimesliceCycles = 15_000 // several gang switches inside the window
+	if tweak != nil {
+		tweak(cfg)
+	}
 	chip, err := NewSystem(Options{Cfg: cfg, Kind: kind, Workload: wl, Seed: 11, FaultPlan: plan})
 	if err != nil {
 		t.Fatal(err)
@@ -29,31 +39,43 @@ func buildCell(t *testing.T, kind Kind, plan *fault.Plan) *Chip {
 // TestRunMatchesTickPerCycle: Run's event-horizon bulk stepping and
 // skipping of sleeping (stalled or idle) cores must be cycle-for-cycle
 // equivalent to the per-cycle reference (Tick in a loop, every core
-// every cycle) — identical Metrics for one cell of every system kind.
-// This is the safety net under the hot-path overhaul: any event the
-// bulk loop skips or double-runs shows up as a counter diff.
+// every cycle) — identical Metrics for one cell of every system kind,
+// under the default config and under each ablation knob: TSO (stores
+// drain through the store buffer) and a Leave-DMR flush of four lines
+// per cycle. This is the safety net under the hot-path overhaul: any
+// event the bulk loop skips or double-runs shows up as a counter diff.
 func TestRunMatchesTickPerCycle(t *testing.T) {
 	const warmup, measure = 30_000, 60_000
+	knobs := []struct {
+		name  string
+		tweak func(*sim.Config)
+	}{
+		{"", nil},
+		{"/tso", func(c *sim.Config) { c.TSO = true }},
+		{"/flush4", func(c *sim.Config) { c.FlushPerCycle = 4 }},
+	}
 	for _, kind := range AllKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			fast := buildCell(t, kind, nil)
-			mFast := fast.Measure(warmup, measure)
+		for _, k := range knobs {
+			t.Run(kind.String()+k.name, func(t *testing.T) {
+				fast := buildCellWith(t, kind, nil, k.tweak)
+				mFast := fast.Measure(warmup, measure)
 
-			slow := buildCell(t, kind, nil)
-			for i := 0; i < warmup; i++ {
-				slow.Tick()
-			}
-			slow.ResetMeasurement()
-			start := slow.Now
-			for i := 0; i < measure; i++ {
-				slow.Tick()
-			}
-			mSlow := slow.Collect(slow.Now - start)
+				slow := buildCellWith(t, kind, nil, k.tweak)
+				for i := 0; i < warmup; i++ {
+					slow.Tick()
+				}
+				slow.ResetMeasurement()
+				start := slow.Now
+				for i := 0; i < measure; i++ {
+					slow.Tick()
+				}
+				mSlow := slow.Collect(slow.Now - start)
 
-			if !reflect.DeepEqual(mFast, mSlow) {
-				t.Errorf("fast path diverged from per-cycle reference:\nfast: %+v\nslow: %+v", mFast, mSlow)
-			}
-		})
+				if !reflect.DeepEqual(mFast, mSlow) {
+					t.Errorf("fast path diverged from per-cycle reference:\nfast: %+v\nslow: %+v", mFast, mSlow)
+				}
+			})
+		}
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package exp defines the paper's experiments: one function per table
-// and figure of the evaluation (Section 5), each a named campaign run
-// through internal/campaign's engine and rendered into the same
-// rows/series the paper reports. cmd/mmmbench and the repository-level
-// benchmarks are thin wrappers around this package; cmd/mmmd serves
-// the same campaigns over HTTP.
+// and figure of the evaluation (Section 5) and per ablation, each a
+// campaign spec run through a campaign.Runner and rendered into the
+// same rows/series the paper reports. cmd/mmmbench's experiment table
+// is the thin wrapper around this package; cmd/mmmd serves the same
+// campaigns over HTTP.
 package exp
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -27,7 +26,6 @@ type Config struct {
 	Measure   sim.Cycle
 	Timeslice sim.Cycle // consolidated-server gang timeslice
 	Seeds     []uint64
-	Parallel  int // concurrent simulations (independent chips)
 
 	// Workloads restricts the sweep to a subset of workload names;
 	// empty means all six.
@@ -39,14 +37,10 @@ type Config struct {
 	// static default.
 	Policies []string
 
-	// Cache, when non-nil, serves repeated jobs from the campaign
-	// result cache instead of re-simulating.
-	Cache campaign.Cache
-
-	// Runner, when non-nil, executes campaigns instead of a local
-	// engine — mmmbench -workers installs the fleet dispatcher here.
-	// The Runner contract guarantees the tables come out
-	// byte-identical either way.
+	// Runner executes every study's campaign; nil means a local engine
+	// with no cache. mmmbench installs its engine (with its result
+	// cache) or its fleet dispatcher here; the Runner contract
+	// guarantees the tables come out byte-identical either way.
 	Runner campaign.Runner
 
 	// Precision, when non-nil, switches the reliability study to
@@ -73,7 +67,6 @@ func fromScale(sc campaign.Scale, seeds []uint64) Config {
 		Measure:   sc.Measure,
 		Timeslice: sc.Timeslice,
 		Seeds:     seeds,
-		Parallel:  runtime.NumCPU(),
 	}
 }
 
@@ -102,48 +95,27 @@ func (c Config) workloads() []string {
 	return workload.Names()
 }
 
-// runAll executes jobs on the campaign engine and returns metrics
-// grouped by aggregation key.
-func (c Config) runAll(jobs []campaign.Job) (map[string][]core.Metrics, error) {
-	rs, err := c.runSet(jobs)
-	if err != nil {
-		return nil, err
-	}
-	return rs.ByKey(), nil
-}
-
-// runSet executes jobs on the configured runner (the local campaign
-// engine unless a remote dispatcher is installed).
-func (c Config) runSet(jobs []campaign.Job) (*campaign.ResultSet, error) {
-	r := c.Runner
-	if r == nil {
-		r = campaign.New(campaign.Options{Parallel: c.Parallel, Cache: c.Cache})
-	}
-	return r.Run(context.Background(), c.Scale(), jobs)
-}
-
-// runSpec executes a whole spec, fixed or adaptive-precision, on the
-// configured runner through campaign.RunSpec.
-func (c Config) runSpec(spec campaign.Spec) (*campaign.ResultSet, error) {
-	r := c.Runner
-	if r == nil {
-		r = campaign.New(campaign.Options{Parallel: c.Parallel, Cache: c.Cache})
-	}
-	return campaign.RunSpec(context.Background(), r, c.Scale(), spec)
-}
-
-// named expands the registered campaign spec under this config's axes
-// and runs it.
+// named runs the registered campaign spec under this config's axes.
 func (c Config) named(name string) (map[string][]core.Metrics, error) {
 	spec, err := campaign.Named(name, c.workloads(), c.Seeds)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := spec.Expand()
+	return c.run(spec)
+}
+
+// run executes spec through the configured runner's RunSpec and groups
+// the metrics by aggregation key. Every study runs through here.
+func (c Config) run(spec campaign.Spec) (map[string][]core.Metrics, error) {
+	r := c.Runner
+	if r == nil {
+		r = campaign.New(campaign.Options{})
+	}
+	rs, err := r.RunSpec(context.Background(), c.Scale(), spec)
 	if err != nil {
 		return nil, err
 	}
-	return c.runAll(jobs)
+	return rs.ByKey(), nil
 }
 
 // key builds a deterministic result key (campaign.Job.Key format).

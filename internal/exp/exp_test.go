@@ -20,7 +20,7 @@ func tiny() Config {
 	c.Warmup = 60_000
 	c.Measure = 120_000
 	c.Timeslice = 40_000
-	c.Cache = testCache
+	c.Runner = campaign.New(campaign.Options{Cache: testCache})
 	return c
 }
 
@@ -59,10 +59,17 @@ func TestFigure5Shape(t *testing.T) {
 func TestFigure5CacheShared(t *testing.T) {
 	// The shared sweep warmed testCache, so re-deriving Figure 5 at the
 	// same scale must be pure cache hits and reproduce the same rows.
-	if _, err := fig5Rows(); err != nil {
+	want, err := fig5Rows()
+	if err != nil {
 		t.Fatal(err)
 	}
+	counted := campaign.NewCountingCache(testCache)
 	c := tiny()
+	c.Runner = campaign.New(campaign.Options{Cache: counted})
+	rows, err := Figure5(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec, err := campaign.Named("figure5", c.workloads(), c.Seeds)
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +78,11 @@ func TestFigure5CacheShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.runSet(jobs)
-	if err != nil {
-		t.Fatal(err)
+	if hits, misses, _ := counted.Stats(); misses != 0 || hits != uint64(len(jobs)) {
+		t.Fatalf("warm rerun: hits=%d misses=%d want %d/0", hits, misses, len(jobs))
 	}
-	if rs.Misses != 0 || rs.Hits != len(jobs) {
-		t.Fatalf("warm rerun: hits=%d misses=%d want %d/0", rs.Hits, rs.Misses, len(jobs))
+	if got, want := Figure5aTable(rows).String(), Figure5aTable(want).String(); got != want {
+		t.Fatalf("warm rerun changed the table:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -159,7 +165,7 @@ func TestFaultStudyShape(t *testing.T) {
 
 func TestRunAllPropagatesErrors(t *testing.T) {
 	c := tiny()
-	_, err := c.runAll([]campaign.Job{{Workload: "nope", Kind: core.KindNoDMR, Seed: 1}})
+	_, err := c.run(campaign.Spec{Jobs: []campaign.Job{{Workload: "nope", Kind: core.KindNoDMR, Seed: 1}}})
 	if err == nil {
 		t.Fatal("bad workload name not reported")
 	}
@@ -259,5 +265,65 @@ func TestPolicyStudyShape(t *testing.T) {
 	}
 	if len(rows) != 2 || rows[0].Policy != "duty-cycle" {
 		t.Fatalf("restricted axis rows: %+v", rows)
+	}
+}
+
+func TestTSOAblationShape(t *testing.T) {
+	c := tiny()
+	c.Workloads = []string{"apache", "pmake"}
+	rows, err := TSOAblation(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(c.Workloads) {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.ReunionSC.Mean() <= 0 || r.ReunionTSO.Mean() <= 0 {
+			t.Errorf("%s: Reunion produced nothing", r.Workload)
+		}
+		if r.ReunionSC.Mean() == r.ReunionTSO.Mean() {
+			t.Errorf("%s: TSO and SC cells read the same %.3f", r.Workload, r.ReunionSC.Mean())
+		}
+	}
+	if TSOTable(rows).String() == "" {
+		t.Fatal("table renders empty")
+	}
+	// Under TSO a committed store waits in the store buffer instead of
+	// at commit: the SC store-commit stall all but vanishes. The cells
+	// are the ones the study just ran, served from the test cache.
+	res, err := c.named("tso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range c.Workloads {
+		for _, kind := range []core.Kind{core.KindNoDMR2X, core.KindReunion} {
+			sc := res[key(wl, kind, "sc")][0].Core.StoreCommitStall
+			tso := res[key(wl, kind, "tso")][0].Core.StoreCommitStall
+			if sc == 0 || tso*100 > sc {
+				t.Errorf("%s/%v: store-commit stall SC %d, TSO %d; want TSO under 1%% of SC", wl, kind, sc, tso)
+			}
+		}
+	}
+}
+
+func TestFlushAblationShape(t *testing.T) {
+	rows, err := FlushAblation(tiny(), "oltp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	// The flush inspects one line per cycle in the paper; every faster
+	// rate must make Leave-DMR strictly cheaper.
+	for i, r := range rows {
+		if i > 0 && (r.LinesPerCycle <= rows[i-1].LinesPerCycle || r.Leave.Mean() >= rows[i-1].Leave.Mean()) {
+			t.Errorf("%d lines/cycle: leave %.0f, not below %d lines/cycle's %.0f",
+				r.LinesPerCycle, r.Leave.Mean(), rows[i-1].LinesPerCycle, rows[i-1].Leave.Mean())
+		}
+	}
+	if FlushTable("oltp", rows).String() == "" {
+		t.Fatal("table renders empty")
 	}
 }

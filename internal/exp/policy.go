@@ -78,11 +78,7 @@ func PolicyStudy(c Config) ([]PolicyRow, error) {
 		return nil, err
 	}
 	spec.Policies = axis
-	jobs, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.runAll(jobs)
+	res, err := c.run(spec)
 	if err != nil {
 		return nil, err
 	}

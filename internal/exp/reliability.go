@@ -58,11 +58,10 @@ func ReliabilityStudy(c Config) ([]ReliaRow, error) {
 			spec.Jobs[i].Knobs.ReliaTrials = c.ReliaTrials
 		}
 	}
-	rs, err := c.runSpec(spec)
+	res, err := c.run(spec)
 	if err != nil {
 		return nil, err
 	}
-	res := rs.ByKey()
 	rates := campaign.DefaultFaultRates()
 	var rows []ReliaRow
 	for _, rm := range campaign.ReliaModes() {

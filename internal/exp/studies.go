@@ -153,7 +153,8 @@ var faultVariants = []struct {
 // the privileged-register verification on Enter-DMR. Disabling the
 // PAB converts prevented violations into silent corruption.
 func FaultStudy(c Config, wl string, meanInterval float64) ([]FaultRow, error) {
-	res, err := c.runAll(campaign.FaultJobs([]string{wl}, c.Seeds, meanInterval))
+	spec := campaign.Spec{Name: "faults", Jobs: campaign.FaultJobs([]string{wl}, c.Seeds, meanInterval)}
+	res, err := c.run(spec)
 	if err != nil {
 		return nil, err
 	}

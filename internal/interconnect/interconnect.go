@@ -1,8 +1,7 @@
-// Package interconnect models the on-chip networks of the target
-// multicore: the point-to-point data/coherence network with an average
-// 10-cycle latency, and the dedicated fingerprint network (also
-// 10 cycles) that Reunion pairs use to exchange check-stage
-// fingerprints without perturbing the coherence traffic.
+// Package interconnect models the on-chip point-to-point data/coherence
+// network of the target multicore, with an average 10-cycle latency.
+// (Reunion's dedicated fingerprint network is private to a pair and
+// never contended, so the pair adds its fixed latency itself.)
 package interconnect
 
 import "repro/internal/sim"
@@ -32,9 +31,6 @@ func NewNetwork(endpoints int, hopLat, portBusy sim.Cycle) *Network {
 	}
 }
 
-// HopLat returns the configured single-hop latency.
-func (n *Network) HopLat() sim.Cycle { return n.hopLat }
-
 // Send models one message from src to dst injected at cycle now and
 // returns its arrival cycle. Port contention at both endpoints delays
 // injection.
@@ -52,28 +48,3 @@ func (n *Network) Send(src, dst int, now sim.Cycle) sim.Cycle {
 	n.ports[dst] = start + n.portBusy
 	return start + n.hopLat
 }
-
-// FingerprintLink is the dedicated fingerprint network between the two
-// cores of a Reunion pair. It is private to the pair, so there is no
-// port contention with coherence traffic; a fingerprint sent at cycle t
-// is visible to the partner at t + latency.
-type FingerprintLink struct {
-	lat sim.Cycle
-
-	Sent uint64
-}
-
-// NewFingerprintLink creates a link with the given one-way latency.
-func NewFingerprintLink(lat sim.Cycle) *FingerprintLink {
-	return &FingerprintLink{lat: lat}
-}
-
-// Deliver returns the cycle at which a fingerprint sent at cycle now is
-// visible at the other core.
-func (l *FingerprintLink) Deliver(now sim.Cycle) sim.Cycle {
-	l.Sent++
-	return now + l.lat
-}
-
-// Latency returns the one-way link latency.
-func (l *FingerprintLink) Latency() sim.Cycle { return l.lat }

@@ -42,13 +42,3 @@ func TestMessagesCounted(t *testing.T) {
 		t.Fatalf("messages = %d", n.Messages)
 	}
 }
-
-func TestFingerprintLink(t *testing.T) {
-	l := NewFingerprintLink(10)
-	if got := l.Deliver(50); got != 60 {
-		t.Fatalf("delivery at %d, want 60", got)
-	}
-	if l.Latency() != 10 || l.Sent != 1 {
-		t.Fatalf("link state wrong: lat=%d sent=%d", l.Latency(), l.Sent)
-	}
-}

@@ -152,11 +152,3 @@ func fnvMix(h, v uint64) uint64 {
 	}
 	return h
 }
-
-// CombineFingerprints folds a per-instruction fingerprint into an
-// accumulated interval fingerprint. Reunion sends one fingerprint per
-// checked interval; accumulating preserves sensitivity to every bit
-// and to the order of the instructions.
-func CombineFingerprints(acc, fp uint64) uint64 {
-	return fnvMix(acc^fnvOffset, fp)
-}

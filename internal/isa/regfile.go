@@ -18,8 +18,10 @@ const (
 
 // RegFile is the full architectural register state of one VCPU.
 // It is the unit that the mode-transition state machine saves to and
-// restores from the scratchpad space, and that the mute core verifies
-// against its own redundant copy when a pair enters DMR mode.
+// restores from the scratchpad space. Entering DMR mode compares its
+// privileged registers (Priv) with the copy saved when the VCPU left
+// DMR mode, to catch corruption that occurred while it ran
+// unprotected.
 type RegFile struct {
 	GPR  [NumGPR]uint64
 	FPR  [NumFPR]uint64
@@ -33,43 +35,8 @@ func (r *RegFile) Bytes() int {
 	return 8 * (NumGPR + NumFPR + NumPriv + 2)
 }
 
-// Copy returns a deep copy of the register file.
-func (r *RegFile) Copy() RegFile { return *r }
-
-// EqualPriv reports whether the privileged state of two register files
-// matches. The mute core performs exactly this check when entering DMR
-// mode, to detect privileged-register corruption that occurred while
-// the vocal ran unprotected in performance mode.
-func (r *RegFile) EqualPriv(o *RegFile) bool {
-	return r.Priv == o.Priv
-}
-
 // Equal reports whether all architectural state matches.
 func (r *RegFile) Equal(o *RegFile) bool {
 	return r.GPR == o.GPR && r.FPR == o.FPR && r.Priv == o.Priv &&
 		r.PC == o.PC && r.NPC == o.NPC
-}
-
-// Hash produces a fingerprint of the register file, used to validate a
-// restored state image against the copy saved to the scratchpad.
-func (r *RegFile) Hash() uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range r.GPR {
-		h = fnvMix(h, v)
-	}
-	for _, v := range r.FPR {
-		h = fnvMix(h, v)
-	}
-	h = fnvMix(h, r.PC)
-	h = fnvMix(h, r.NPC)
-	return r.HashPriv() ^ h
-}
-
-// HashPriv fingerprints only the privileged registers.
-func (r *RegFile) HashPriv() uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range r.Priv {
-		h = fnvMix(h, v)
-	}
-	return h
 }

@@ -195,20 +195,6 @@ func TestTLBEvictionConsistency(t *testing.T) {
 	}
 }
 
-func TestDemapAll(t *testing.T) {
-	pm := newTestMap()
-	s := NewSpace(1, DomainPerformance, 0, pm)
-	s.MapRegion("d", 0, 8)
-	tlb := NewTLB(64)
-	for i := uint64(0); i < 8; i++ {
-		tlb.Lookup(s, i*8192)
-	}
-	tlb.DemapAll(1)
-	if tlb.Demaps != 8 {
-		t.Fatalf("demapped %d entries, want 8", tlb.Demaps)
-	}
-}
-
 func TestTLBCorruptUseReportedOnce(t *testing.T) {
 	pm := newTestMap()
 	s := NewSpace(1, DomainPerformance, 0, pm)

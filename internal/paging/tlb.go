@@ -159,21 +159,6 @@ func (t *TLB) Demap(asid int, vpage uint64) {
 	}
 }
 
-// DemapAll invalidates every entry for an address space.
-func (t *TLB) DemapAll(asid int) {
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.asid == asid {
-			e.valid = false
-			t.keys[i] = 0
-			t.Demaps++
-			if t.demapListener != nil {
-				t.demapListener(e.ppage)
-			}
-		}
-	}
-}
-
 // CorruptEntry flips bit in the physical page number of the entry
 // currently caching (asid, vpage), modeling a hardware fault in the
 // TLB array. It reports whether an entry was present to corrupt.

@@ -26,7 +26,6 @@ package reunion
 
 import (
 	"repro/internal/cpu"
-	"repro/internal/interconnect"
 	"repro/internal/sim"
 )
 
@@ -44,8 +43,7 @@ type record struct {
 
 // Pair is one logical processing pair. It implements cpu.Gate.
 type Pair struct {
-	cfg  *sim.Config
-	link *interconnect.FingerprintLink
+	cfg *sim.Config
 
 	rings [2][ringSize]record
 
@@ -90,7 +88,6 @@ const stuckLimit = 4
 func NewPair(cfg *sim.Config, vocal, mute *cpu.Core) *Pair {
 	return &Pair{
 		cfg:   cfg,
-		link:  interconnect.NewFingerprintLink(cfg.FingerprintLat),
 		vocal: vocal,
 		mute:  mute,
 	}
@@ -172,15 +169,14 @@ func (p *Pair) CheckSleep(side int, seq uint64) (sim.Cycle, int) {
 	if other.done > done {
 		done = other.done
 	}
-	return done + p.link.Latency(), cpu.CheckWaitRelease
+	return done + p.cfg.FingerprintLat, cpu.CheckWaitRelease
 }
 
 // CreditWait replays the per-poll counters of n slept CommitReady polls
-// of a matched instruction, waiting for the link or, for a store, for
-// its write-through (cpu.Gate).
+// of a matched instruction, waiting for the fingerprint network or, for
+// a store, for its write-through (cpu.Gate).
 func (p *Pair) CreditWait(n uint64) {
 	p.Checks += n
-	p.link.Sent += n
 }
 
 // CommitReady implements the Check stage (cpu.Gate): instruction seq on
@@ -235,6 +231,5 @@ func (p *Pair) CommitReady(side int, seq uint64, now sim.Cycle) (sim.Cycle, bool
 	if other.done > done {
 		done = other.done
 	}
-	p.link.Sent++
-	return done + p.link.Latency(), true
+	return done + p.cfg.FingerprintLat, true
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -179,10 +178,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRows orders rows lexicographically by their first cell, for
-// deterministic output independent of map iteration order.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i][0] < t.Rows[j][0] })
 }

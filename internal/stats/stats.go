@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations from repeated simulation runs with
@@ -89,20 +88,6 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the sample median (0 if empty).
-func (s *Sample) Median() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	c := append([]float64(nil), s.xs...)
-	sort.Float64s(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }
 
 // String formats the sample as "mean ±ci".
