@@ -225,20 +225,19 @@ const (
 	otherMethod    = "_OTHER"
 )
 
-// routes is the path-label vocabulary: every route the coordinator and
-// the -worker mux serve, plus the removed unversioned spellings of the
-// API routes (404s that keep labels of their own).
+// routes is the path-label vocabulary: every route the coordinator
+// (apiRoutes) and the -worker mux (its attach route) serve, plus the
+// removed unversioned spellings of those API routes (404s that keep
+// labels of their own).
 var routes = func() map[string]bool {
 	m := map[string]bool{"/healthz": true, "/metrics": true, "/debug/pprof/": true}
 	for _, p := range []string{"cmdline", "profile", "symbol", "trace",
 		"allocs", "block", "goroutine", "heap", "mutex", "threadcreate"} {
 		m["/debug/pprof/"+p] = true
 	}
-	for _, prefix := range []string{api.PathPrefix, ""} {
-		for _, r := range []string{"/catalog", "/status", "/attach", "/campaigns", "/campaigns/{id}",
-			"/campaigns/{id}/results", "/campaigns/{id}/events", "/campaigns/{id}/cancel"} {
-			m[prefix+r] = true
-		}
+	m[api.PathPrefix+"/attach"], m["/attach"] = true, true
+	for _, rt := range apiRoutes {
+		m[api.PathPrefix+rt.path], m[rt.path] = true, true
 	}
 	return m
 }()

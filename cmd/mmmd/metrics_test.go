@@ -200,6 +200,15 @@ func TestRouteLabel(t *testing.T) {
 		{"/v1/campaigns/c3/results/x", unmatchedRoute, ""},
 		{"/debug/pprof/nope", unmatchedRoute, ""},
 	}
+	// Every API route the coordinator serves labels as its own pattern.
+	for _, rt := range apiRoutes {
+		tc := struct{ path, pattern, id string }{
+			api.PathPrefix + strings.ReplaceAll(rt.path, "{id}", "c9"), api.PathPrefix + rt.path, ""}
+		if strings.Contains(rt.path, "{id}") {
+			tc.id = "c9"
+		}
+		cases = append(cases, tc)
+	}
 	for _, tc := range cases {
 		pattern, id := routeLabel(tc.path)
 		if pattern != tc.pattern || id != tc.id {

@@ -133,6 +133,22 @@ func newServer(ctx context.Context, cache campaign.Cache, parallel, maxCampaigns
 	return s
 }
 
+// apiRoutes is the coordinator's API, each path served under
+// api.PathPrefix. The access log's label vocabulary is built from it.
+var apiRoutes = []struct {
+	method, path string
+	h            func(*server, http.ResponseWriter, *http.Request)
+}{
+	{"GET", "/catalog", (*server).handleCatalog},
+	{"GET", "/status", (*server).handleServiceStatus},
+	{"POST", "/campaigns", (*server).handleSubmit},
+	{"GET", "/campaigns", (*server).handleList},
+	{"GET", "/campaigns/{id}", (*server).handleStatus},
+	{"GET", "/campaigns/{id}/results", (*server).handleResults},
+	{"GET", "/campaigns/{id}/events", (*server).handleEvents},
+	{"POST", "/campaigns/{id}/cancel", (*server).handleCancel},
+}
+
 // handler routes the service's endpoints. The API surface is
 // versioned: every campaign route is served under /v1/ only.
 // /healthz and /metrics are infrastructure endpoints (probes,
@@ -143,20 +159,10 @@ func (s *server) handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /metrics", metricsHandler(s.reg))
-	for _, rt := range []struct {
-		method, path string
-		h            http.HandlerFunc
-	}{
-		{"GET", "/catalog", s.handleCatalog},
-		{"GET", "/status", s.handleServiceStatus},
-		{"POST", "/campaigns", s.handleSubmit},
-		{"GET", "/campaigns", s.handleList},
-		{"GET", "/campaigns/{id}", s.handleStatus},
-		{"GET", "/campaigns/{id}/results", s.handleResults},
-		{"GET", "/campaigns/{id}/events", s.handleEvents},
-		{"POST", "/campaigns/{id}/cancel", s.handleCancel},
-	} {
-		mux.HandleFunc(rt.method+" "+api.PathPrefix+rt.path, rt.h)
+	for _, rt := range apiRoutes {
+		mux.HandleFunc(rt.method+" "+api.PathPrefix+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			rt.h(s, w, r)
+		})
 	}
 	if s.debug {
 		mountPprof(mux)

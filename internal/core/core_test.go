@@ -290,7 +290,7 @@ func TestRemapPageKeepsPABCoherent(t *testing.T) {
 
 func TestSerialPABWiring(t *testing.T) {
 	// The IPC impact of the serial lookup is a statistical result
-	// (exp.PABStudy / BenchmarkPABLatency); here we verify the
+	// (exp.PABStudy / mmmbench -exp pab); here we verify the
 	// mechanism is wired: the serial configuration reaches every
 	// core's PAB and the checks actually happen in performance mode,
 	// while the reliable guest stays within noise of the parallel
