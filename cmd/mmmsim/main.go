@@ -82,7 +82,7 @@ func main() {
 	}
 	if rec != nil {
 		label := fmt.Sprintf("%s/%s/%s", kind, *policy, wl.Name)
-		if err := writeTraces(rec, *traceOut, *traceJSONL, label); err != nil {
+		if err := rec.WriteFiles(*traceOut, *traceJSONL, label); err != nil {
 			fmt.Fprintln(os.Stderr, "mmmsim:", err)
 			os.Exit(1)
 		}
@@ -128,35 +128,4 @@ func main() {
 		fmt.Printf("  flush: %d lines inspected, %d written back\n", h.FlushedLines, h.FlushWritebacks)
 		fmt.Printf("  table2: user-cycles/switch=%.0f os-cycles/switch=%.0f\n", m.UserCycPerSwitch, m.OSCycPerSwitch)
 	}
-}
-
-// writeTraces dumps the flight recorder in the requested formats.
-func writeTraces(rec *obs.Recorder, chrome, jsonl, label string) error {
-	if chrome != "" {
-		f, err := os.Create(chrome)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteChromeTrace(f, label); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if jsonl != "" {
-		f, err := os.Create(jsonl)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -46,14 +46,11 @@ type Scale struct {
 // Knobs is the declarative form of the sim.Config mutations the
 // evaluation sweeps over. Unlike a closure, a Knobs value is part of a
 // job's identity: it canonicalizes into the cache fingerprint, so two
-// jobs differing only in a knob never collide. The annotation below is
-// enforced by the knobcover analyzer: every field added here
-// must be folded into Fingerprint/Key/SimSeed (with a SpecVersion
-// bump) or carry an explicit //mmm:knobcover-exempt reason, so a knob
-// outside the fingerprint — the silent cache-poisoning failure mode —
-// is a build error, not a code-review hope.
-//
-//mmm:knobcover Fingerprint,Key,SimSeed
+// jobs differing only in a knob never collide. A field added here must
+// be rendered by Fingerprint (with a SpecVersion bump):
+// TestEveryJobFieldSeparatesFingerprints finds it by reflection and
+// fails while a change to it leaves the fingerprint unchanged, the
+// silent cache-poisoning failure mode.
 type Knobs struct {
 	// PABSerial selects the serial 2-cycle PAB lookup (Section 5.2).
 	PABSerial bool `json:"pab_serial,omitempty"`
@@ -117,11 +114,8 @@ func (k Knobs) Apply(cfg *sim.Config) {
 
 // Job is one fully specified simulation: a cell of the sweep
 // cross-product. Jobs are pure data so they can be expanded, hashed,
-// cached and distributed. Like Knobs, the field set is under knobcover
-// coverage: every field must reach the fingerprint/key/seed
-// derivation.
-//
-//mmm:knobcover Fingerprint,Key,SimSeed
+// cached and distributed. Like Knobs, every field must reach the
+// fingerprint, which TestEveryJobFieldSeparatesFingerprints checks.
 type Job struct {
 	Workload string    `json:"workload"`
 	Kind     core.Kind `json:"kind"`

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // fmtKey and fmtFingerprint are Key and Fingerprint as first written,
@@ -86,6 +88,91 @@ func TestFormatFloatMatchesPercentG(t *testing.T) {
 		}
 		if got, want := strconv.FormatFloat(f, 'g', -1, 64), fmt.Sprintf("%g", f); got != want {
 			t.Fatalf("%#x: strconv %s, %%g %s", math.Float64bits(f), got, want)
+		}
+	}
+}
+
+// TestEveryJobFieldSeparatesFingerprints: every cached result is filed
+// under Job.Fingerprint, so two jobs that differ in any one field must
+// have two addresses. The leaf fields of Job (with Knobs) and Scale are
+// found by reflection, so a field added to any of them is checked with
+// no test edit, and fails here until Fingerprint renders it. The jobs
+// are wave jobs, which render every field.
+func TestEveryJobFieldSeparatesFingerprints(t *testing.T) {
+	type address struct {
+		Job   Job
+		Scale Scale
+	}
+	fields := leafFields(reflect.TypeOf(address{}), "", nil)
+	g := newEventGen(rand.New(rand.NewSource(5)))
+	const n = 2_000
+	for i := 0; i < n; i++ {
+		var a address
+		g.fill(reflect.ValueOf(&a).Elem())
+		if a.Job.Knobs.Wave <= 0 {
+			a.Job.Knobs.Wave = 1 + g.r.Intn(64)
+		}
+		fp := a.Job.Fingerprint(a.Scale)
+		for _, f := range fields {
+			b := a
+			v := reflect.ValueOf(&b).Elem().FieldByIndex(f.index)
+			old := v.Interface()
+			g.change(v)
+			if b.Job.Fingerprint(b.Scale) == fp {
+				t.Fatalf("%s %v and %v share fingerprint %s\n%+v", f.name, old, v.Interface(), fp, a)
+			}
+		}
+	}
+	t.Logf("%d leaf fields, each changed in %d wave jobs", len(fields), n)
+}
+
+// leafField is a field of a nested struct that is not itself a struct,
+// by its dotted name and reflect index path.
+type leafField struct {
+	name  string
+	index []int
+}
+
+// leafFields lists t's leaf fields in declaration order.
+func leafFields(t reflect.Type, prefix string, index []int) []leafField {
+	var out []leafField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		idx := append(index[:len(index):len(index)], i)
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, leafFields(f.Type, prefix+f.Name+".", idx)...)
+		} else {
+			out = append(out, leafField{prefix + f.Name, idx})
+		}
+	}
+	return out
+}
+
+// change sets v to a value the fingerprint must tell apart from the
+// one it holds: the other bool, another registered kind (unknown kinds
+// all render "?"), a finite float of other bits (every NaN renders
+// "NaN"), otherwise a fresh draw that differs.
+func (g *eventGen) change(v reflect.Value) {
+	old := v.Interface()
+	switch {
+	case v.Kind() == reflect.Bool:
+		v.SetBool(!v.Bool())
+	case v.Type() == kindType:
+		kinds := core.AllKinds()
+		for v.Interface() == old {
+			v.SetInt(int64(kinds[g.r.Intn(len(kinds))]))
+		}
+	case v.Kind() == reflect.Float64:
+		for bits := math.Float64bits(v.Float()); ; {
+			f := g.float()
+			if !math.IsNaN(f) && !math.IsInf(f, 0) && math.Float64bits(f) != bits {
+				v.SetFloat(f)
+				return
+			}
+		}
+	default:
+		for v.Interface() == old {
+			g.fill(v)
 		}
 	}
 }

@@ -278,11 +278,16 @@ func TestAdaptiveWorkerKilledMidWave(t *testing.T) {
 	victim, ts1 := startWorker(t, "victim", 2, nil)
 	_, ts2 := startWorker(t, "survivor", 2, nil)
 	counting := NewCountingCache(NewMemCache())
+	j, err := NewJournal("kill", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	d := NewDispatcher(DispatchOptions{
 		Workers:  []string{ts1.URL, ts2.URL},
 		Cache:    counting,
 		LeaseTTL: 400 * time.Millisecond,
+		Journal:  j,
 	})
 	type outcome struct {
 		rows []byte
@@ -301,8 +306,7 @@ func TestAdaptiveWorkerKilledMidWave(t *testing.T) {
 		res <- outcome{buf.Bytes(), rs, err}
 	}()
 
-	time.Sleep(100 * time.Millisecond)
-	victim.Stop()
+	stopOnLease(t, j, victim)
 
 	select {
 	case out := <-res:
@@ -319,6 +323,9 @@ func TestAdaptiveWorkerKilledMidWave(t *testing.T) {
 		}
 	case <-time.After(2 * time.Minute):
 		t.Fatal("adaptive campaign did not recover from worker death")
+	}
+	if types := journalTypes(j.Events()); types[EventHeartbeatMissed] == 0 {
+		t.Fatalf("no wave lease expired after killing a leased worker: %v", types)
 	}
 }
 

@@ -716,8 +716,7 @@ func TestJournalExactlyOnceUnderWorkerDeath(t *testing.T) {
 		res <- outcome{buf.Bytes(), err}
 	}()
 
-	time.Sleep(100 * time.Millisecond)
-	victim.Stop()
+	stopOnLease(t, j, victim)
 
 	var rows []byte
 	select {

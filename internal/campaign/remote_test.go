@@ -115,6 +115,30 @@ func TestDistributedSharesCacheWithLocal(t *testing.T) {
 	}
 }
 
+// stopOnLease stops w as soon as the run's journal records a lease
+// granted to it, so the worker dies holding that lease: its heartbeats
+// stop, and the board must expire the lease and reassign the job.
+func stopOnLease(t *testing.T, j *Journal, w *Worker) {
+	t.Helper()
+	timeout := time.After(2 * time.Minute)
+	var after int64
+	for {
+		evs, wake, _ := j.EventsSince(after)
+		for _, ev := range evs {
+			if ev.Type == EventLeased && ev.Worker == w.opts.Name {
+				w.Stop()
+				return
+			}
+			after = ev.Seq
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			t.Fatalf("no lease granted to %s", w.opts.Name)
+		}
+	}
+}
+
 // TestWorkerKilledMidLeaseReassigns: killing a worker that holds
 // leases must not lose or corrupt the campaign — its leases expire
 // and the surviving worker finishes everything, byte-identical to a
@@ -126,7 +150,15 @@ func TestWorkerKilledMidLeaseReassigns(t *testing.T) {
 	victim, ts1 := startWorker(t, "victim", 2, nil)
 	_, ts2 := startWorker(t, "survivor", 2, nil)
 
-	d := dispatcherFor(nil, 400*time.Millisecond, ts1.URL, ts2.URL)
+	j, err := NewJournal("kill", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(DispatchOptions{
+		Workers:  []string{ts1.URL, ts2.URL},
+		LeaseTTL: 400 * time.Millisecond,
+		Journal:  j,
+	})
 	type outcome struct {
 		rows []byte
 		err  error
@@ -143,11 +175,10 @@ func TestWorkerKilledMidLeaseReassigns(t *testing.T) {
 		res <- outcome{buf.Bytes(), err}
 	}()
 
-	// Let the victim lease work, then kill it: its pull loops stop,
+	// Kill the victim once it holds a lease: its pull loops stop,
 	// in-flight results are abandoned (never completed), and the board
 	// reassigns the expired leases to the survivor.
-	time.Sleep(100 * time.Millisecond)
-	victim.Stop()
+	stopOnLease(t, j, victim)
 
 	select {
 	case out := <-res:
@@ -159,6 +190,9 @@ func TestWorkerKilledMidLeaseReassigns(t *testing.T) {
 		}
 	case <-time.After(2 * time.Minute):
 		t.Fatal("campaign did not recover from worker death")
+	}
+	if types := journalTypes(j.Events()); types[EventHeartbeatMissed] == 0 {
+		t.Fatalf("no lease expired after killing a leased worker: %v", types)
 	}
 }
 
@@ -690,4 +724,67 @@ func TestFleetBodiesBounded(t *testing.T) {
 	if st := w.Stats(); st.Attachments != 0 || st.AttachTotal != 0 {
 		t.Fatalf("oversized attach attached the worker: %+v", st)
 	}
+}
+
+// FuzzFleetBodies: any body a fleet peer posts to the board's lease,
+// heartbeat or complete endpoint or the worker's attach endpoint is
+// answered with a protocol status and never panics; afterwards the
+// board's in-flight count equals its live leases, and a refused attach
+// leaves the worker unattached. The first byte picks the endpoint. The
+// board holds one live lease, l1 for w1, so heartbeats and completions
+// can reach it. The worker is stopped: an attach the check accepts is
+// refused too, so no pull loop dials a fuzzed coordinator URL.
+func FuzzFleetBodies(f *testing.F) {
+	jobs := determinismJobs(f)[:2]
+	fp := jobs[0].Fingerprint(microScale())
+	check := protocolCheck()
+	for _, seed := range []struct {
+		route byte
+		body  any
+	}{
+		{0, api.LeaseRequest{Worker: "w2", Check: check}},
+		{0, api.LeaseRequest{Worker: strings.Repeat("x", maxControlBody), Check: check}},
+		{1, api.HeartbeatRequest{LeaseID: "l1"}},
+		{2, api.CompleteRequest{LeaseID: "l1", Worker: "w1", Fingerprint: fp, Metrics: &core.Metrics{}}},
+		{2, api.CompleteRequest{LeaseID: "l1", Worker: "w1", Error: "boom"}},
+		{3, api.AttachRequest{Coordinator: "http://127.0.0.1:1", Check: check}},
+	} {
+		body, err := json.Marshal(seed.body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte{seed.route}, body...))
+	}
+	w := NewWorker(WorkerOptions{Name: "fuzz"})
+	w.Stop()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		b := newBoard(fixedPlan(microScale(), jobs), boardOptions{ttl: time.Minute, maxInflight: 2, maxAttempts: 3})
+		b.mu.Lock()
+		b.leaseLocked("w1", time.Now())
+		b.mu.Unlock()
+		h, path := b.handler(), []string{"/lease", "/heartbeat", "/complete", "/v1/attach"}[data[0]%4]
+		if path == "/v1/attach" {
+			h = w.Handler()
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data[1:])))
+		switch rec.Code {
+		case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusConflict,
+			http.StatusGone, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("POST %s answered %d: %s", path, rec.Code, rec.Body)
+		}
+		b.mu.Lock()
+		inflight := b.inflight
+		b.mu.Unlock()
+		if live := b.liveLeases(); inflight != live {
+			t.Fatalf("POST %s: %d in flight, %d live leases", path, inflight, live)
+		}
+		if st := w.Stats(); st.Attachments != 0 || st.AttachTotal != 0 {
+			t.Fatalf("POST %s: refused attach left %+v", path, st)
+		}
+	})
 }

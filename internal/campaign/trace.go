@@ -53,24 +53,5 @@ func writeTrace(dir string, j Job, rec *obs.Recorder) error {
 		return err
 	}
 	base := filepath.Join(dir, traceBase(j))
-	cf, err := os.Create(base + ".trace.json")
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChromeTrace(cf, j.Key()); err != nil {
-		cf.Close()
-		return err
-	}
-	if err := cf.Close(); err != nil {
-		return err
-	}
-	jf, err := os.Create(base + ".trace.jsonl")
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSONL(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	return jf.Close()
+	return rec.WriteFiles(base+".trace.json", base+".trace.jsonl", j.Key())
 }

@@ -143,8 +143,6 @@ type Core struct {
 	head     int
 	count    int
 	unissued []int
-	histDone [histSize]sim.Cycle
-	histSeq  [histSize]uint64
 
 	lsqLoads  int
 	lsqStores int
@@ -220,6 +218,12 @@ type Core struct {
 	OnSilentFault func(c *Core, now sim.Cycle)
 
 	C stats.CoreCounters
+
+	// Completion history for dependency tracking, 8 KB together. Last,
+	// so the fields Chip.Run and Tick read on every cycle (sleepUntil
+	// first) stay in the struct's first cache lines.
+	histDone [histSize]sim.Cycle
+	histSeq  [histSize]uint64
 }
 
 // New creates a core wired to the shared memory hierarchy.

@@ -1,5 +1,5 @@
 // Package lint is the repository's determinism-invariant analyzer
-// suite: five repo-specific static analyzers that turn the byte-
+// suite: four repo-specific static analyzers that turn the byte-
 // identity contract defended at runtime by the golden-row, replay and
 // traced-vs-untraced tests into compile-time errors. It is a small,
 // dependency-free reimplementation of the golang.org/x/tools
@@ -17,12 +17,14 @@
 //     encoder, io.Writer, returned slice) without a sort.
 //   - nilsafe:   every exported pointer-receiver method in
 //     internal/obs begins with a nil-receiver guard.
-//   - knobcover: every field of an //mmm:knobcover-annotated struct is
-//     read by its fingerprint/key/seed coverage functions.
 //   - hotalloc:  no make/map/escaping-append allocations inside
 //     functions annotated //mmm:hotpath, the ones that run per
 //     simulated cycle or per generated instruction (`grep -rn
 //     '^//mmm:hotpath' internal` lists them).
+//
+// Cache identity, that every field of api.Job, api.Knobs and api.Scale
+// reaches the result cache's address, is not a code shape: api's
+// TestEveryJobFieldSeparatesFingerprints checks it as a property.
 //
 // Audited exceptions are declared in source with //mmm: directives
 // (see Suppressed); every directive requires a reason.
@@ -72,7 +74,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetClock, MapOrder, NilSafe, KnobCover, HotAlloc}
+	return []*Analyzer{DetClock, MapOrder, NilSafe, HotAlloc}
 }
 
 // DeterminismBoundary names the internal packages whose code must be a

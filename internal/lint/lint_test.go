@@ -52,19 +52,6 @@ func TestNilSafeFixture(t *testing.T) {
 	}
 }
 
-// TestKnobCoverFixture: uncovered fields, unreasoned exemptions,
-// unknown coverage functions, empty markers and non-struct annotations
-// all fire; direct, transitive and exempted coverage pass.
-func TestKnobCoverFixture(t *testing.T) {
-	linttest.Run(t, lint.KnobCover, fixture("knobcover", "knobs"), "example.com/knobs")
-}
-
-// TestKnobCoverCampaignEnforcement: in the real campaign package the
-// annotation is mandatory on Knobs and Job.
-func TestKnobCoverCampaignEnforcement(t *testing.T) {
-	linttest.Run(t, lint.KnobCover, fixture("knobcover", "campaign"), "repro/internal/campaign")
-}
-
 // TestHotAllocFixture: every allocation kind fires inside //mmm:hotpath
 // functions (including closures), the scratch-buffer self-append idiom,
 // reasoned suppressions and unannotated functions pass, and a

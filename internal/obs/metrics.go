@@ -172,16 +172,21 @@ func labelString(labels []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", p.k, escapeLabel(p.v))
+		b.WriteString(renderLabel(p.k, p.v))
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the exposition format. %q
-// above already escapes '"' and '\'; newlines become \n via %q too,
-// so this only needs to pass the value through.
-func escapeLabel(v string) string { return v }
+// labelEscaper escapes a label value as the 0.0.4 text format defines:
+// backslash, double quote and newline, and nothing else.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// renderLabel renders key="value". Invalid UTF-8 in the value, which the
+// format does not allow, becomes U+FFFD.
+func renderLabel(key, value string) string {
+	return key + `="` + labelEscaper.Replace(strings.ToValidUTF8(value, "\uFFFD")) + `"`
+}
 
 // lookup returns (creating if needed) the family and series for one
 // instrument registration. Registration is idempotent: the same
@@ -353,7 +358,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // mergeLabels splices one extra label into an already-rendered label
 // string (used for histogram le labels).
 func mergeLabels(ls, key, value string) string {
-	extra := fmt.Sprintf("%s=%q", key, value)
+	extra := renderLabel(key, value)
 	if ls == "" {
 		return "{" + extra + "}"
 	}

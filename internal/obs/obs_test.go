@@ -60,6 +60,20 @@ func TestExpositionRoundTrip(t *testing.T) {
 		emit(Sample{Name: "dyn", Help: "Dynamic.", Type: "gauge",
 			Labels: []string{"w", "n1"}, Value: 2})
 	})
+	// A fleet peer names itself: the rendered value uses only the
+	// format's three escapes, keeps a tab and U+2028 as they are and
+	// replaces invalid UTF-8 with U+FFFD.
+	workers := []struct{ name, rendered string }{
+		{"tab\there", "tab\there"},
+		{"ls\u2028sep", "ls\u2028sep"},
+		{"bad\xffutf8", "bad\ufffdutf8"},
+		{"q\"b\\s\nn", `q\"b\\s\nn`},
+	}
+	r.RegisterCollector(func(emit func(Sample)) {
+		for _, w := range workers {
+			emit(Sample{Name: "worker_age_seconds", Labels: []string{"worker", w.name}, Value: 1})
+		}
+	})
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -84,8 +98,16 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if f := fams["dyn"]; f == nil || f.Type != "gauge" || len(f.Series) != 1 {
 		t.Fatalf("collector family wrong: %+v", fams["dyn"])
 	}
-	if got := TotalSeries(fams); got != 9 {
-		t.Fatalf("TotalSeries = %d, want 9\n%s", got, text)
+	if f := fams["worker_age_seconds"]; f == nil || len(f.Series) != len(workers) {
+		t.Fatalf("worker family wrong: %+v", fams["worker_age_seconds"])
+	}
+	if got := TotalSeries(fams); got != 9+len(workers) {
+		t.Fatalf("TotalSeries = %d, want %d\n%s", got, 9+len(workers), text)
+	}
+	for _, w := range workers {
+		if want := `worker_age_seconds{worker="` + w.rendered + `"} 1`; !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q\n%s", want, text)
+		}
 	}
 
 	// Cumulative bucket semantics: 0.05 and 0.5 land at or below le="1",
@@ -261,9 +283,10 @@ func TestChromeTrace(t *testing.T) {
 }
 
 // FuzzParseExposition: the strict exposition parser returns an error or
-// well-formed families for any input, and never panics. The corpus
-// starts from the registry's own output (a counter, a labelled counter
-// and a histogram) plus malformed and edge-case pages.
+// well-formed families for any input, and never panics; and a page
+// WritePrometheus renders with the input as a label value parses. The
+// corpus starts from the registry's own output (a counter, a labelled
+// counter and a histogram) plus malformed and edge-case pages.
 func FuzzParseExposition(f *testing.F) {
 	r := NewRegistry()
 	r.Counter("runs_total", "Runs.").Add(3)
@@ -279,10 +302,21 @@ func FuzzParseExposition(f *testing.F) {
 	for _, s := range []string{
 		"metric_name\n", "m{le=} 3\n", "# TYPE m counter\n# TYPE m gauge\nm 1\n",
 		"m_bucket{le=\"1\"} 2\n", "m{a=\"b\\\"c\"} 4 1700000000\n",
+		"tab\there", "ls\u2028sep", "bad\xffutf8",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, page string) {
+		reg := NewRegistry()
+		reg.Counter("jobs_total", "Jobs.", "worker", page).Inc()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseExposition(&buf); err != nil {
+			t.Fatalf("label value %q: own page refused: %v\n%s", page, err, buf.String())
+		}
+
 		fams, err := ParseExposition(strings.NewReader(page))
 		if err != nil {
 			return
@@ -299,10 +333,12 @@ func FuzzParseExposition(f *testing.F) {
 // modes CI relies on.
 func TestParseExpositionRejects(t *testing.T) {
 	for _, bad := range []string{
-		"metric_name\n",   // no value
-		"1bad_name 3\n",   // bad metric name
-		`m{le=} 3` + "\n", // bad label syntax
-		"m notanumber\n",  // bad value
+		"metric_name\n",                           // no value
+		"1bad_name 3\n",                           // bad metric name
+		`m{le=} 3` + "\n",                         // bad label syntax
+		"m notanumber\n",                          // bad value
+		`m{w="a\tb"} 1` + "\n",                    // an escape the format does not define
+		"m{w=\"\xff\"} 1\n",                       // not UTF-8
 		"# TYPE m counter\n# TYPE m gauge\nm 1\n", // re-typed family
 	} {
 		if _, err := ParseExposition(strings.NewReader(bad)); err == nil {

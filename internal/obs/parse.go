@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ExpoFamily is one metric family recovered from a text exposition:
@@ -25,16 +26,18 @@ var (
 	// sampleLine splits "name{labels} value [timestamp]"; the label
 	// block is validated separately.
 	sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})? (\S+)( [0-9]+)?$`)
-	labelPair  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$`)
+	// labelPair allows only the escapes the format defines: \\, \" and \n.
+	labelPair = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\[\\"n])*"$`)
 )
 
 // ParseExposition validates Prometheus text exposition (version 0.0.4)
 // and returns the families found, keyed by base name — histogram
 // _bucket/_sum/_count samples fold into their declared family. It is
 // strict about what the repository's own WritePrometheus emits:
-// malformed sample lines, bad label syntax, unparseable values and
-// samples of histogram-suffixed names without a histogram TYPE
-// declaration are errors.
+// lines that are not valid UTF-8, malformed sample lines, bad label
+// syntax (an escape other than \\, \" and \n among it), unparseable
+// values and samples of histogram-suffixed names without a histogram
+// TYPE declaration are errors.
 func ParseExposition(r io.Reader) (map[string]*ExpoFamily, error) {
 	fams := make(map[string]*ExpoFamily)
 	fam := func(name string) *ExpoFamily {
@@ -51,6 +54,9 @@ func ParseExposition(r io.Reader) (map[string]*ExpoFamily, error) {
 	for sc.Scan() {
 		n++
 		line := sc.Text()
+		if !utf8.ValidString(line) {
+			return nil, fmt.Errorf("obs: line %d: not valid UTF-8", n)
+		}
 		if strings.TrimSpace(line) == "" {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/sim"
 )
@@ -265,4 +266,33 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, process string) error {
 	}{TraceEvents: out, DisplayTimeUnit: "ms"}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&doc)
+}
+
+// WriteFiles writes the retained events to files: Chrome trace-event
+// JSON under the process name to chrome, JSON Lines to jsonl. An empty
+// path is skipped.
+func (r *Recorder) WriteFiles(chrome, jsonl, process string) error {
+	if r == nil {
+		return nil
+	}
+	if err := writeFile(chrome, func(w io.Writer) error { return r.WriteChromeTrace(w, process) }); err != nil {
+		return err
+	}
+	return writeFile(jsonl, r.WriteJSONL)
+}
+
+// writeFile creates path and fills it with write, unless path is empty.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
