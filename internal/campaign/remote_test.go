@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -729,11 +730,13 @@ func TestFleetBodiesBounded(t *testing.T) {
 // FuzzFleetBodies: any body a fleet peer posts to the board's lease,
 // heartbeat or complete endpoint or the worker's attach endpoint is
 // answered with a protocol status and never panics; afterwards the
-// board's in-flight count equals its live leases, and a refused attach
-// leaves the worker unattached. The first byte picks the endpoint. The
-// board holds one live lease, l1 for w1, so heartbeats and completions
-// can reach it. The worker is stopped: an attach the check accepts is
-// refused too, so no pull loop dials a fuzzed coordinator URL.
+// board's in-flight count equals its live leases, the fleet metrics
+// page (whose worker label the peer names) parses, and a refused
+// attach leaves the worker unattached. The first byte picks the
+// endpoint. The board holds one live lease, l1 for w1, so heartbeats
+// and completions can reach it. The worker is stopped: an attach the
+// check accepts is refused too, so no pull loop dials a fuzzed
+// coordinator URL.
 func FuzzFleetBodies(f *testing.F) {
 	jobs := determinismJobs(f)[:2]
 	fp := jobs[0].Fingerprint(microScale())
@@ -743,6 +746,7 @@ func FuzzFleetBodies(f *testing.F) {
 		body  any
 	}{
 		{0, api.LeaseRequest{Worker: "w2", Check: check}},
+		{0, api.LeaseRequest{Worker: "tab\there\u2028sep\"q\\", Check: check}},
 		{0, api.LeaseRequest{Worker: strings.Repeat("x", maxControlBody), Check: check}},
 		{1, api.HeartbeatRequest{LeaseID: "l1"}},
 		{2, api.CompleteRequest{LeaseID: "l1", Worker: "w1", Fingerprint: fp, Metrics: &core.Metrics{}}},
@@ -761,12 +765,14 @@ func FuzzFleetBodies(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		b := newBoard(fixedPlan(microScale(), jobs), boardOptions{ttl: time.Minute, maxInflight: 2, maxAttempts: 3})
+		reg := obs.NewRegistry()
+		b := newBoard(fixedPlan(microScale(), jobs),
+			boardOptions{fleet: NewFleetObs(reg), ttl: time.Minute, maxInflight: 2, maxAttempts: 3})
 		b.mu.Lock()
 		b.leaseLocked("w1", time.Now())
 		b.mu.Unlock()
-		h, path := b.handler(), []string{"/lease", "/heartbeat", "/complete", "/v1/attach"}[data[0]%4]
-		if path == "/v1/attach" {
+		h, path := b.handler(), []string{"/lease", "/heartbeat", "/complete", api.PathPrefix + "/attach"}[data[0]%4]
+		if data[0]%4 == 3 {
 			h = w.Handler()
 		}
 		rec := httptest.NewRecorder()
@@ -782,6 +788,13 @@ func FuzzFleetBodies(f *testing.F) {
 		b.mu.Unlock()
 		if live := b.liveLeases(); inflight != live {
 			t.Fatalf("POST %s: %d in flight, %d live leases", path, inflight, live)
+		}
+		var page bytes.Buffer
+		if err := reg.WritePrometheus(&page); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obs.ParseExposition(&page); err != nil {
+			t.Fatalf("POST %s: metrics page refused: %v", path, err)
 		}
 		if st := w.Stats(); st.Attachments != 0 || st.AttachTotal != 0 {
 			t.Fatalf("POST %s: refused attach left %+v", path, st)
