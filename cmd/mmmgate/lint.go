@@ -1,8 +1,8 @@
 package main
 
-// mmmgate lint runs the repository's determinism-invariant analyzer
-// suite (internal/lint) over the packages, _test.go files included,
-// and prints each finding as file:line:col: analyzer: message.
+// mmmgate lint runs the repository's map-order analyzer
+// (internal/lint) over the packages, _test.go files included, and
+// prints each finding as file:line:col: analyzer: message.
 //
 //	mmmgate lint                      # ./...
 //	mmmgate lint ./internal/core/...

@@ -11,9 +11,9 @@
 // of the head is worse than its bound on every pair; relia gates an
 // adaptive reliability run's trial savings and interval agreement
 // against a fixed-batch run; scrape validates a Prometheus text
-// exposition; lint runs the determinism-invariant analyzers of
-// internal/lint over the packages and their _test.go files. Run
-// journals are checked by `mmmtail -report`.
+// exposition; lint runs internal/lint's map-order analyzer over the
+// packages and their _test.go files. Run journals are checked by
+// `mmmtail -report`.
 //
 // Exit status: 0 when the check passes, 1 when it fails, 2 on a usage
 // or input error (for bench, also a setup or build error; for lint, a

@@ -212,8 +212,6 @@ func newChip(cfg *sim.Config, kind Kind, rec *cache.Recycler) (*Chip, error) {
 // Tick advances the whole chip by one cycle: scheduler, in-flight mode
 // transitions, fault injector, then every core in ID order, idle ones
 // included. It is the per-cycle reference Run must match.
-//
-//mmm:hotpath
 func (c *Chip) Tick() {
 	now := c.Now
 	if now >= c.polNextAt {
@@ -270,8 +268,6 @@ func (c *Chip) tickInjectorRecorded(now sim.Cycle) {
 // horizon. Slept cycles are charged lazily, at the core's next Tick or
 // at Collect/ResetMeasurement (SettleTo). The resulting simulation is
 // cycle-for-cycle identical to n Ticks.
-//
-//mmm:hotpath
 func (c *Chip) Run(n sim.Cycle) {
 	end := c.Now + n
 	for c.Now < end {
@@ -323,8 +319,6 @@ func (c *Chip) Run(n sim.Cycle) {
 // must run again, capped at end. While any pair is still draining
 // (transition phase 0) the horizon collapses to now, because drain
 // completion is detected by polling the pipelines.
-//
-//mmm:hotpath
 func (c *Chip) nextEventAt(end sim.Cycle) sim.Cycle {
 	h := end
 	if c.polNextAt < h {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/fault"
+	"repro/internal/mode"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -13,12 +14,13 @@ import (
 // buildCell constructs one benchmark cell deterministically.
 func buildCell(t *testing.T, kind Kind, plan *fault.Plan) *Chip {
 	t.Helper()
-	return buildCellWith(t, kind, plan, nil)
+	return buildCellWith(t, kind, "", plan, nil)
 }
 
-// buildCellWith is buildCell with tweak applied to the chip's config
-// first (nil for the default).
-func buildCellWith(t *testing.T, kind Kind, plan *fault.Plan, tweak func(*sim.Config)) *Chip {
+// buildCellWith is buildCell under the named mode policy ("" for the
+// kind's default) with tweak applied to the chip's config first (nil
+// for the default).
+func buildCellWith(t *testing.T, kind Kind, policy string, plan *fault.Plan, tweak func(*sim.Config)) *Chip {
 	t.Helper()
 	wl, err := workload.ByName("apache")
 	if err != nil {
@@ -29,11 +31,23 @@ func buildCellWith(t *testing.T, kind Kind, plan *fault.Plan, tweak func(*sim.Co
 	if tweak != nil {
 		tweak(cfg)
 	}
-	chip, err := NewSystem(Options{Cfg: cfg, Kind: kind, Workload: wl, Seed: 11, FaultPlan: plan})
+	chip, err := NewSystem(Options{Cfg: cfg, Kind: kind, Workload: wl, Seed: 11, Policy: policy, FaultPlan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return chip
+}
+
+// knobCells are the config variants the per-kind tests cover: the
+// default, TSO (stores drain through the store buffer) and a Leave-DMR
+// flush of four lines per cycle.
+var knobCells = []struct {
+	name  string
+	tweak func(*sim.Config)
+}{
+	{"", nil},
+	{"/tso", func(c *sim.Config) { c.TSO = true }},
+	{"/flush4", func(c *sim.Config) { c.FlushPerCycle = 4 }},
 }
 
 // TestRunMatchesTickPerCycle: Run's event-horizon bulk stepping and
@@ -46,21 +60,13 @@ func buildCellWith(t *testing.T, kind Kind, plan *fault.Plan, tweak func(*sim.Co
 // event the bulk loop skips or double-runs shows up as a counter diff.
 func TestRunMatchesTickPerCycle(t *testing.T) {
 	const warmup, measure = 30_000, 60_000
-	knobs := []struct {
-		name  string
-		tweak func(*sim.Config)
-	}{
-		{"", nil},
-		{"/tso", func(c *sim.Config) { c.TSO = true }},
-		{"/flush4", func(c *sim.Config) { c.FlushPerCycle = 4 }},
-	}
 	for _, kind := range AllKinds() {
-		for _, k := range knobs {
+		for _, k := range knobCells {
 			t.Run(kind.String()+k.name, func(t *testing.T) {
-				fast := buildCellWith(t, kind, nil, k.tweak)
+				fast := buildCellWith(t, kind, "", nil, k.tweak)
 				mFast := fast.Measure(warmup, measure)
 
-				slow := buildCellWith(t, kind, nil, k.tweak)
+				slow := buildCellWith(t, kind, "", nil, k.tweak)
 				for i := 0; i < warmup; i++ {
 					slow.Tick()
 				}
@@ -209,6 +215,39 @@ func TestRunSplitMatchesSingleRun(t *testing.T) {
 					t.Errorf("split run diverged from a single run:\nsingle: %+v\nsplit:  %+v", want, got)
 				}
 			})
+		}
+	}
+}
+
+// TestWarmRunAllocations bounds what a warm Chip.Run allocates: under
+// one object per 50 simulated cycles, for every kind x mode policy x
+// knob cell on apache with faults injected. What a warm span allocates
+// does not scale with cycles (a transition record per mode switch, a
+// side source per pair binding, map and ring growth: at most 4.2
+// objects per thousand cycles on 200k-cycle spans with Go 1.24's maps,
+// 6.7 with GOEXPERIMENT=noswissmap), so an allocation per cycle or per
+// retired instruction breaks the bound by orders of magnitude.
+// AllocsPerRun counts every goroutine's allocations: no test of this
+// package may run in parallel with this one.
+func TestWarmRunAllocations(t *testing.T) {
+	const warmup, cyclesPerAlloc = 60_000, 50
+	span := sim.Cycle(200_000)
+	if testing.Short() {
+		span = 50_000
+	}
+	bound := float64(span / cyclesPerAlloc)
+	for _, kind := range AllKinds() {
+		for _, pol := range mode.Names() {
+			for _, k := range knobCells {
+				t.Run(kind.String()+"/"+pol+k.name, func(t *testing.T) {
+					chip := buildCellWith(t, kind, pol, &fault.Plan{MeanInterval: 3_000, Seed: 5}, k.tweak)
+					chip.Run(warmup)
+					if allocs := testing.AllocsPerRun(1, func() { chip.Run(span) }); allocs >= bound {
+						t.Errorf("warm Run(%d) allocated %.0f objects, want under %.0f (one per %d cycles)",
+							span, allocs, bound, cyclesPerAlloc)
+					}
+				})
+			}
 		}
 	}
 }

@@ -80,8 +80,6 @@ func (c *Chip) planFor(a mode.Assignment, pi int) pairPlan {
 // flight are skipped — exactly as the pre-policy gang switch skipped
 // them — and keep their previous target assignment, so a policy that
 // must win re-issues the decision at its next event.
-//
-//mmm:hotpath
 func (c *Chip) policyDecide(ev mode.Event) {
 	st := c.pairStatus(ev.Cycle)
 	asg := c.policy.Decide(ev, st)
@@ -116,8 +114,8 @@ func (c *Chip) policyDecide(ev mode.Event) {
 		if pl == c.curPlan[pi] {
 			continue // inapplicable override or unchanged group
 		}
-		cause := evKind
-		if a.Override != mode.OverrideNone {
+		cause := evKind // read only by the flight recorder
+		if c.rec != nil && a.Override != mode.OverrideNone {
 			cause += "/" + a.Override.String()
 		}
 		if c.rec != nil {
@@ -161,8 +159,6 @@ func (c *Chip) policyFault(kind mode.EventKind, pair int, now sim.Cycle) {
 // pairStatus refreshes the per-pair status scratch for one decision
 // point: current assignment and coupling, transition occupancy, and
 // commit deltas over the window since the previous decision.
-//
-//mmm:hotpath
 func (c *Chip) pairStatus(now sim.Cycle) []mode.PairStatus {
 	window := now - c.polLastAt
 	for pi := range c.polStatus {

@@ -408,8 +408,6 @@ func (c *Core) WakeAt(now sim.Cycle) {
 func (c *Core) SkipUntil() sim.Cycle { return c.sleepUntil }
 
 // Tick advances the core by one cycle: commit, issue, fetch.
-//
-//mmm:hotpath
 func (c *Core) Tick(now sim.Cycle) {
 	// Pipeline sleep: a previous Tick proved every stage inert until
 	// sleepUntil, so the cycle reduces to charging its counters.
@@ -443,8 +441,6 @@ func (c *Core) Tick(now sim.Cycle) {
 // then IdleCycles, OSCycles or UserCycles by the (unchanging) source and
 // phase, as Tick does, and a busy core's sleep also charges its
 // per-cycle stall, fingerprint and gate-poll deltas.
-//
-//mmm:hotpath
 func (c *Core) settle(to sim.Cycle) {
 	if c.owedFrom == 0 || to <= c.owedFrom {
 		return
@@ -488,8 +484,6 @@ func (c *Core) settle(to sim.Cycle) {
 // per-cycle drain never sleep. External events that could wake a stage
 // early (Resume, BlockUntil, Squash, source/gate changes) clear
 // sleepUntil.
-//
-//mmm:hotpath
 func (c *Core) armSleep(now sim.Cycle) {
 	wake := readyUnknown
 	var fs, si, wf, ss, cw, fp uint64
@@ -590,7 +584,6 @@ func (c *Core) armSleep(now sim.Cycle) {
 
 // --- commit --------------------------------------------------------------
 
-//mmm:hotpath
 func (c *Core) commit(now sim.Cycle) {
 	for n := 0; n < c.cfg.CommitWidth; n++ {
 		if c.count == 0 {
@@ -634,8 +627,6 @@ func (c *Core) commit(now sim.Cycle) {
 
 // postStore places a committed store's completion into the TSO store
 // buffer, reporting false when the buffer is full (commit must wait).
-//
-//mmm:hotpath
 func (c *Core) postStore(done, now sim.Cycle) bool {
 	// Drain completed entries.
 	kept := c.storeBuf[:0]
@@ -654,8 +645,6 @@ func (c *Core) postStore(done, now sim.Cycle) bool {
 
 // issueStore starts the write-through for the store at the head of the
 // window, consulting the PAB first when in performance mode.
-//
-//mmm:hotpath
 func (c *Core) issueStore(e *entry, now sim.Cycle) {
 	e.storeIssued = true
 	start := now
@@ -695,8 +684,6 @@ func (c *Core) issueStore(e *entry, now sim.Cycle) {
 
 // retire removes the head instruction from the window and updates
 // architectural counters.
-//
-//mmm:hotpath
 func (c *Core) retire(e *entry, now sim.Cycle) {
 	c.C.Commits++
 	if e.inst.Priv {
@@ -740,7 +727,6 @@ func (c *Core) retire(e *entry, now sim.Cycle) {
 
 // --- issue ---------------------------------------------------------------
 
-//mmm:hotpath
 func (c *Core) issue(now sim.Cycle) {
 	n := len(c.unissued)
 	if n == 0 {
@@ -855,8 +841,6 @@ func (c *Core) readySlow(idx int, oldest uint64, now sim.Cycle) bool {
 // fault-free hash of the instruction (checkFingerprint), which is exact
 // only because the Check stage compares the two sides' fingerprints of
 // one instruction and nothing else (see package reunion).
-//
-//mmm:hotpath
 func (c *Core) execute(e *entry, now sim.Cycle) {
 	e.issued = true
 	switch e.inst.Class {
@@ -932,8 +916,6 @@ func (c *Core) execute(e *entry, now sim.Cycle) {
 // — the same in (see package reunion). XOR-ing both with the same H(in)
 // changes no comparison, and a fault-free execution, almost every one,
 // hashes nothing.
-//
-//mmm:hotpath
 func checkFingerprint(in *isa.Inst, flip, pa uint64) uint64 {
 	var fp uint64
 	if flip != 0 {
@@ -966,7 +948,6 @@ func (c *Core) translate(e *entry) sim.Cycle {
 
 // --- fetch ---------------------------------------------------------------
 
-//mmm:hotpath
 func (c *Core) fetch(now sim.Cycle) {
 	if c.fetchHold {
 		c.C.FetchStallCycles++
@@ -1063,8 +1044,6 @@ func (c *Core) fetchLine(pc uint64, now sim.Cycle) sim.Cycle {
 }
 
 // insert places a fetched instruction into the window.
-//
-//mmm:hotpath
 func (c *Core) insert(in isa.Inst, now sim.Cycle) {
 	tail := (c.head + c.count) % len(c.win)
 	readyAt := sim.Cycle(0) // no producer: issuable immediately

@@ -123,8 +123,6 @@ type Inst struct {
 // executing the same instruction produce identical fingerprints; any
 // single-bit corruption of an output yields a different hash with high
 // probability.
-//
-//mmm:hotpath
 func (in *Inst) Fingerprint() uint64 {
 	h := uint64(fnvOffset)
 	h = fnvMix(h, in.Seq)
@@ -143,7 +141,6 @@ const (
 	fnvPrime  = 0x100000001b3
 )
 
-//mmm:hotpath
 func fnvMix(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff

@@ -13,9 +13,7 @@ import (
 )
 
 // LoadFixture parses and type-checks a testdata package from dir,
-// giving it the declared import path (fixtures impersonate real
-// packages — "repro/internal/core" — so package-gated analyzers fire).
-// Stdlib imports are satisfied from compiler export data via `go list
+// giving it the declared import path. Stdlib imports are satisfied from compiler export data via `go list
 // -export`, exactly like Load; the fixture directory must not import
 // anything outside the standard library.
 func LoadFixture(dir, pkgPath string) (*Package, error) {

@@ -1,30 +1,28 @@
-// Package lint is the repository's determinism-invariant analyzer
-// suite: four repo-specific static analyzers that turn the byte-
-// identity contract defended at runtime by the golden-row, replay and
-// traced-vs-untraced tests into compile-time errors. It is a small,
-// dependency-free reimplementation of the golang.org/x/tools
+// Package lint is the repository's map-order analyzer: one
+// repo-specific static check, maporder, that turns a part of the
+// byte-identity contract defended at runtime by the golden-row, replay
+// and traced-vs-untraced tests into a compile-time error. It flags map
+// iteration feeding an output sink (hash, JSON encoder, io.Writer,
+// returned slice) without a sort, which a runtime comparison catches
+// only when the map happens to iterate in a different order. It is a
+// small, dependency-free reimplementation of the golang.org/x/tools
 // go/analysis driver shape (Analyzer / Pass / Diagnostic) built on
-// go/ast + go/types only, because the analyzers need full type
+// go/ast + go/types only, because the analyzer needs full type
 // information but the repository takes no module dependencies. Load is
 // its one driver: it checks each package together with its _test.go
 // files, and `mmmgate lint` runs it from the command line.
 //
-// The analyzers:
+// The other code properties the reproduction rests on are tested as
+// properties, wherever the code runs:
 //
-//   - detclock:  no wall clock, environment reads or global RNG inside
-//     the determinism boundary (the simulation packages).
-//   - maporder:  no map iteration feeding an output sink (hash, JSON
-//     encoder, io.Writer, returned slice) without a sort.
-//   - nilsafe:   every exported pointer-receiver method in
-//     internal/obs begins with a nil-receiver guard.
-//   - hotalloc:  no make/map/escaping-append allocations inside
-//     functions annotated //mmm:hotpath, the ones that run per
-//     simulated cycle or per generated instruction (`grep -rn
-//     '^//mmm:hotpath' internal` lists them).
-//
-// Cache identity, that every field of api.Job, api.Knobs and api.Scale
-// reaches the result cache's address, is not a code shape: api's
-// TestEveryJobFieldSeparatesFingerprints checks it as a property.
+//   - cache identity (every field of api.Job, api.Knobs and api.Scale
+//     reaches the result cache's address): api's
+//     TestEveryJobFieldSeparatesFingerprints;
+//   - no allocation that scales with simulated cycles in a warm
+//     Chip.Run: core's TestWarmRunAllocations;
+//   - nil-safe telemetry instruments and recorder: obs's TestNilSafety;
+//   - no wall clock, environment reads or global RNG inside the
+//     determinism boundary: the module root's TestBoundaryImports.
 //
 // Audited exceptions are declared in source with //mmm: directives
 // (see Suppressed); every directive requires a reason.
@@ -40,7 +38,7 @@ import (
 )
 
 // An Analyzer describes one static check. The shape deliberately
-// mirrors golang.org/x/tools/go/analysis.Analyzer so the suite can be
+// mirrors golang.org/x/tools/go/analysis.Analyzer so the check can be
 // ported onto the real framework if the repository ever takes the
 // dependency.
 type Analyzer struct {
@@ -72,48 +70,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// All returns the full analyzer suite in stable order.
+// All returns every analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetClock, MapOrder, NilSafe, HotAlloc}
-}
-
-// DeterminismBoundary names the internal packages whose code must be a
-// pure function of (config, seed): the simulated machine and
-// everything it is built from. Wall clock, environment and global RNG
-// are forbidden inside (detclock); they are legal only in the
-// orchestration layers outside it — campaign journaling/attribution,
-// obs, exp and cmd/*.
-var DeterminismBoundary = map[string]bool{
-	"core": true, "cpu": true, "vcpu": true, "isa": true,
-	"sched": true, "mode": true, "fault": true, "reunion": true,
-	"pab": true, "paging": true, "cache": true, "interconnect": true,
-	"sim": true, "workload": true, "relia": true, "trace": true,
-	"stats": true,
-}
-
-// boundaryPackage reports whether pkgPath is inside the determinism
-// boundary, returning the boundary package's short name. The module
-// prefix is irrelevant: any .../internal/<name>[/...] with <name> in
-// DeterminismBoundary qualifies, so fixtures and forks behave like the
-// real tree.
-func boundaryPackage(pkgPath string) (string, bool) {
-	rest := pkgPath
-	for {
-		i := strings.Index(rest, "internal/")
-		if i < 0 {
-			return "", false
-		}
-		if i == 0 || rest[i-1] == '/' {
-			rest = rest[i+len("internal/"):]
-			break
-		}
-		rest = rest[i+len("internal/"):]
-	}
-	seg, _, _ := strings.Cut(rest, "/")
-	if DeterminismBoundary[seg] {
-		return seg, true
-	}
-	return "", false
+	return []*Analyzer{MapOrder}
 }
 
 // A directive is one parsed //mmm:<marker> <reason> comment.
@@ -163,21 +122,6 @@ func (p *Pass) Suppressed(marker string, pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// directiveAt returns the first //mmm:<marker> directive on the given
-// line or the line above, whether or not it carries a reason.
-func (p *Pass) directiveAt(marker string, pos token.Pos) (directive, bool) {
-	position := p.Fset.Position(pos)
-	idx := p.pkg.directives[position.Filename]
-	for _, line := range []int{position.Line, position.Line - 1} {
-		for _, d := range idx[line] {
-			if d.marker == marker {
-				return d, true
-			}
-		}
-	}
-	return directive{}, false
 }
 
 // render pretty-prints a node for string comparison of expressions

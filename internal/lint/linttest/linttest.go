@@ -1,10 +1,9 @@
-// Package linttest is the fixture harness for the lint analyzer
-// suite: the repo-local analogue of golang.org/x/tools/go/analysis/
-// analysistest. A fixture is a directory of .go files under
-// internal/lint/testdata, type-checked under a caller-chosen import
-// path (so package-gated analyzers like detclock and nilsafe fire),
-// with expected diagnostics declared inline as `// want "regexp"`
-// comments on the offending line.
+// Package linttest is the fixture harness for the lint analyzer: the
+// repo-local analogue of golang.org/x/tools/go/analysis/analysistest.
+// A fixture is a directory of .go files under internal/lint/testdata,
+// type-checked under a caller-chosen import path, with expected
+// diagnostics declared inline as `// want "regexp"` comments on the
+// offending line.
 package linttest
 
 import (

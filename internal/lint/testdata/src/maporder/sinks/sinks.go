@@ -1,6 +1,6 @@
 // Package mapsink is the maporder fixture: map ranges feeding each
 // recognized output sink, plus the allowed shapes (sorted afterwards,
-// suppressed, or no sink at all).
+// suppressed with a reason, or no sink at all).
 package mapsink
 
 import (
@@ -65,6 +65,17 @@ func keysSuppressed(m map[string]int) []string {
 	var ks []string
 	for k := range m {
 		ks = append(ks, k) //mmm:maporder-ok membership set: the one consumer treats it as unordered
+	}
+	return ks
+}
+
+// keysUnreasoned carries a directive with no reason: a bare
+// directive does not suppress.
+func keysUnreasoned(m map[string]int) []string {
+	var ks []string
+	for k := range m {
+		//mmm:maporder-ok
+		ks = append(ks, k) // want `append to returned slice ks \(unsorted afterwards\) inside range over map m`
 	}
 	return ks
 }

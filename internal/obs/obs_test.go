@@ -3,47 +3,156 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestNilSafety exercises the zero-cost-disabled contract: every
-// instrument and the recorder must be inert through a nil receiver.
+// nilSafeTypes is the nil table: every type of the package with an
+// exported pointer-receiver method. Instrumented code holds a
+// possibly-nil pointer to each when telemetry is off.
+var nilSafeTypes = []any{(*Counter)(nil), (*Histogram)(nil), (*Registry)(nil), (*Recorder)(nil)}
+
+// TestNilSafety checks the zero-cost-disabled contract: every exported
+// method of every type in nilSafeTypes, called on a nil receiver, once
+// with zero arguments and once with non-zero ones, must not panic,
+// must return zero values, and must not call a func argument, write to
+// a writer argument or create a file at a path argument. A parse of
+// the package's non-test files fails the test when a type with an
+// exported pointer-receiver method is missing from the table.
 func TestNilSafety(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x", "")
-	h := r.Histogram("z", "", nil)
-	if c != nil || h != nil {
-		t.Fatalf("nil registry handed out non-nil instruments: %v %v", c, h)
+	listed := map[string]bool{}
+	for _, v := range nilSafeTypes {
+		listed[reflect.TypeOf(v).Elem().Name()] = true
 	}
-	c.Inc()
-	c.Add(3)
-	h.Observe(0.5)
-	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil instruments retained state")
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.RegisterCollector(func(emit func(Sample)) { t.Fatal("collector ran on nil registry") })
-	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Fatalf("WritePrometheus on nil registry: %v", err)
-	}
-	if snap := r.Snapshot(); snap != nil {
-		t.Fatalf("Snapshot on nil registry: %v", snap)
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
+				continue
+			}
+			if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok && !listed[types.ExprString(star.X)] {
+				t.Errorf("%s: (*%s).%s is exported, but *%s is missing from nilSafeTypes",
+					fset.Position(fn.Pos()), types.ExprString(star.X), fn.Name.Name, types.ExprString(star.X))
+			}
+		}
 	}
 
-	var rec *Recorder
-	rec.Emit(Event{Kind: KindMark})
-	rec.Reset()
-	if rec.Total() != 0 || rec.Dropped() != 0 || rec.Events() != nil {
-		t.Fatal("nil recorder retained state")
+	dir := t.TempDir()
+	for _, v := range nilSafeTypes {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			for _, nonZero := range []bool{false, true} {
+				args := []reflect.Value{reflect.Zero(typ)}
+				for j := 1; j < m.Type.NumIn(); j++ {
+					args = append(args, nilSafetyArg(t, m.Type.In(j), nonZero, dir))
+				}
+				name := fmt.Sprintf("(*%s).%s with zero arguments", typ.Elem().Name(), m.Name)
+				if nonZero {
+					name = fmt.Sprintf("(*%s).%s with non-zero arguments", typ.Elem().Name(), m.Name)
+				}
+				callOnNil(t, name, m, args)
+			}
+		}
 	}
-	if err := rec.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatalf("WriteJSONL on nil recorder: %v", err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("nil receivers created %d files (%v)", len(entries), err)
 	}
-	if err := rec.WriteChromeTrace(&bytes.Buffer{}, "p"); err != nil {
-		t.Fatalf("WriteChromeTrace on nil recorder: %v", err)
+}
+
+// callOnNil calls method m with args, the first a nil receiver, and
+// requires it not to panic and to return zero values.
+func callOnNil(t *testing.T, name string, m reflect.Method, args []reflect.Value) {
+	defer func() {
+		if p := recover(); p != nil {
+			t.Errorf("%s on a nil receiver: panic: %v", name, p)
+		}
+	}()
+	call := m.Func.Call
+	if m.Type.IsVariadic() {
+		call = m.Func.CallSlice
 	}
+	for i, out := range call(args) {
+		if !out.IsZero() {
+			t.Errorf("%s on a nil receiver: result %d = %v, want the zero value", name, i, out)
+		}
+	}
+}
+
+// nilSafetyArg returns the zero value of typ or, with nonZero, a value
+// that a method without its nil guard would act on: a path inside the
+// empty dir for a string, 1 for a number, a one-element slice, a
+// struct of such fields, a writer that fails the test on Write and a
+// func that fails the test if it is called.
+func nilSafetyArg(t *testing.T, typ reflect.Type, nonZero bool, dir string) reflect.Value {
+	v := reflect.New(typ).Elem()
+	if !nonZero {
+		return v
+	}
+	switch typ.Kind() {
+	case reflect.String:
+		v.SetString(filepath.Join(dir, "out"))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		v.Set(reflect.ValueOf(1).Convert(typ))
+	case reflect.Slice:
+		v.Set(reflect.Append(v, nilSafetyArg(t, typ.Elem(), true, dir)))
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				v.Field(i).Set(nilSafetyArg(t, typ.Field(i).Type, true, dir))
+			}
+		}
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(typ, func([]reflect.Value) []reflect.Value {
+			t.Errorf("a nil receiver called its %v argument", typ)
+			out := make([]reflect.Value, typ.NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(typ.Out(i))
+			}
+			return out
+		}))
+	case reflect.Interface:
+		w := reflect.ValueOf(failWriter{t})
+		if !w.Type().Implements(typ) {
+			t.Fatalf("no non-zero %v argument: extend nilSafetyArg", typ)
+		}
+		v.Set(w)
+	default:
+		t.Fatalf("no non-zero %v argument: extend nilSafetyArg", typ)
+	}
+	return v
+}
+
+// failWriter fails the test when written to.
+type failWriter struct{ t *testing.T }
+
+func (w failWriter) Write(p []byte) (int, error) {
+	w.t.Errorf("a nil receiver wrote %q to its writer argument", p)
+	return len(p), nil
 }
 
 // TestExpositionRoundTrip renders a populated registry and feeds the

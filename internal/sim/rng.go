@@ -34,8 +34,6 @@ type Rand struct {
 const gamma = 0x9e3779b97f4a7c15
 
 // mix is splitmix64's output finalizer.
-//
-//mmm:hotpath
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -56,8 +54,6 @@ func (r *Rand) Snapshot() uint64 { return r.state }
 func (r *Rand) Restore(s uint64) { r.state = s }
 
 // Next returns the next 64 uniformly distributed bits.
-//
-//mmm:hotpath
 func (r *Rand) Next() uint64 {
 	r.state += gamma
 	return mix(r.state)
@@ -71,15 +67,11 @@ func (r *Rand) Skip(n uint64) { r.state += n * gamma }
 // — what the (i+1)-th Next after Restore(s) returns — without touching
 // any generator. Uint64n(n) is exactly one output, Next() % n, so a
 // caller can defer a run of draws it may never read.
-//
-//mmm:hotpath
 func OutputAt(s, i uint64) uint64 {
 	return mix(s + (i+1)*gamma)
 }
 
 // Intn returns a uniform integer in [0, n). n must be positive.
-//
-//mmm:hotpath
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
@@ -88,8 +80,6 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Uint64n returns a uniform integer in [0, n). n must be positive.
-//
-//mmm:hotpath
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("sim: Uint64n with zero n")
@@ -98,15 +88,11 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 }
 
 // Float64 returns a uniform float in [0, 1).
-//
-//mmm:hotpath
 func (r *Rand) Float64() float64 {
 	return float64(r.Next()>>11) / float64(1<<53)
 }
 
 // Bool returns true with probability p.
-//
-//mmm:hotpath
 func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
@@ -116,8 +102,6 @@ func (r *Rand) Bool(p float64) bool {
 // distribution so that run-to-run variance at realistic simulation
 // lengths stays small (the paper smooths its heavy-tailed phases over
 // 100M-cycle runs; our windows are shorter).
-//
-//mmm:hotpath
 func (r *Rand) Around(mean float64) int {
 	if mean <= 1 {
 		return 1
@@ -175,8 +159,6 @@ func StreamCheck() string {
 // given mean (at least 1). It is used for phase lengths and dependency
 // distances, which the paper's workloads exhibit as heavy-tailed
 // interleavings.
-//
-//mmm:hotpath
 func (r *Rand) Geometric(mean float64) int {
 	if mean <= 1 {
 		return 1

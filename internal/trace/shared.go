@@ -44,8 +44,6 @@ func (s *Shared) Detach() {
 
 // Peek returns the instruction the given side's Consume will advance
 // past (0 = vocal, 1 = mute), without advancing the cursor.
-//
-//mmm:hotpath
 func (s *Shared) Peek(side int) isa.Inst {
 	idx := s.cur[side]
 	for idx >= s.base+uint64(len(s.buf)) {
@@ -56,8 +54,6 @@ func (s *Shared) Peek(side int) isa.Inst {
 
 // Consume advances the given side's cursor past the instruction Peek
 // returns.
-//
-//mmm:hotpath
 func (s *Shared) Consume(side int) {
 	idx := s.cur[side]
 	for idx >= s.base+uint64(len(s.buf)) {
@@ -94,8 +90,6 @@ const trimSlack = 64
 // trim drops buffered instructions both sides have consumed. A fully
 // consumed buffer truncates for free; otherwise compaction is deferred
 // until trimSlack instructions of dead prefix have accumulated.
-//
-//mmm:hotpath
 func (s *Shared) trim() {
 	minCur := s.cur[0]
 	if !s.solo && s.cur[1] < minCur {
@@ -127,11 +121,7 @@ type SideSource struct {
 }
 
 // Peek inspects the next instruction without consuming it.
-//
-//mmm:hotpath
 func (ss *SideSource) Peek() isa.Inst { return ss.s.Peek(ss.side) }
 
 // Consume advances past the instruction Peek returns.
-//
-//mmm:hotpath
 func (ss *SideSource) Consume() { ss.s.Consume(ss.side) }

@@ -70,7 +70,6 @@ func newHotSet(r *sim.Rand, capacity int, base, pages uint64) *hotSet {
 	return h
 }
 
-//mmm:hotpath
 func (h *hotSet) push(la uint64) {
 	if len(h.lines) < h.size {
 		h.lines = append(h.lines, la)
@@ -85,8 +84,6 @@ func (h *hotSet) push(la uint64) {
 }
 
 // at returns entry i: pushed, or still the pre-fill line.
-//
-//mmm:hotpath
 func (h *hotSet) at(i int) uint64 {
 	if i < len(h.lines) {
 		return h.lines[i]
@@ -94,7 +91,6 @@ func (h *hotSet) at(i int) uint64 {
 	return h.base + sim.OutputAt(h.state, uint64(i))%h.span*lineBytes
 }
 
-//mmm:hotpath
 func (h *hotSet) pick(r *sim.Rand) (uint64, bool) {
 	if h.size == 0 {
 		return 0, false
@@ -191,8 +187,6 @@ func NewInGuest(p *workload.Params, seed uint64, gs *GuestState) *Gen {
 }
 
 // Next returns the next dynamic instruction.
-//
-//mmm:hotpath
 func (g *Gen) Next() isa.Inst {
 	g.seq++
 	if g.remaining <= 0 {
@@ -209,8 +203,6 @@ func (g *Gen) Next() isa.Inst {
 
 // phaseSwitch emits the trap-enter or trap-return marking a transition
 // between user and OS execution.
-//
-//mmm:hotpath
 func (g *Gen) phaseSwitch() isa.Inst {
 	in := isa.Inst{Seq: g.seq, PC: g.pc, Result: g.rng.Next()}
 	if !g.inOS {
@@ -230,8 +222,6 @@ func (g *Gen) phaseSwitch() isa.Inst {
 }
 
 // gen emits one ordinary instruction in the current phase.
-//
-//mmm:hotpath
 func (g *Gen) gen(os bool) isa.Inst {
 	p := g.p
 	g.advancePC(os)
@@ -277,8 +267,6 @@ func (g *Gen) gen(os bool) isa.Inst {
 // a hot line (the L1-resident loop working set, probability ICHotFrac),
 // a warm line (the L2/L3-resident function working set), or — rarely —
 // a cold line anywhere in the code footprint.
-//
-//mmm:hotpath
 func (g *Gen) advancePC(os bool) {
 	if g.lineRun > 0 {
 		g.lineRun--
@@ -317,8 +305,6 @@ func (g *Gen) advancePC(os bool) {
 // footprint). Cold lines promote into the warm set; warm picks promote
 // into the hot set, so the working set drifts slowly the way real heap
 // and buffer-pool accesses do.
-//
-//mmm:hotpath
 func (g *Gen) dataAddr(os, isStore bool) uint64 {
 	p := g.p
 	off := g.rng.Uint64n(lineBytes/8) * 8
