@@ -6,6 +6,7 @@ package repro
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -43,21 +44,34 @@ func BenchmarkCampaignCold(b *testing.B) {
 }
 
 // BenchmarkCampaignWarm measures the same sweep against a warm disk
-// cache: job expansion, fingerprinting, cache reads and aggregation,
-// but no simulation.
+// cache: job expansion, fingerprinting, cache reads, a journal file and
+// aggregation, but no simulation — what a regeneration from cached
+// cells pays.
 func BenchmarkCampaignWarm(b *testing.B) {
 	jobs := benchJobs(b)
-	cache, err := campaign.NewDiskCache(b.TempDir())
+	dir := b.TempDir()
+	cache, err := campaign.NewDiskCache(filepath.Join(dir, "cache"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := campaign.New(campaign.Options{Parallel: runtime.NumCPU(), Cache: cache})
-	if _, err := eng.Run(context.Background(), benchScale(), jobs); err != nil {
+	if _, err := campaign.New(campaign.Options{Parallel: runtime.NumCPU(), Cache: cache}).
+		Run(context.Background(), benchScale(), jobs); err != nil {
 		b.Fatal(err)
 	}
+	journal := filepath.Join(dir, "warm.journal.jsonl")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := eng.Run(context.Background(), benchScale(), jobs)
+		j, err := campaign.NewJournal("warm", journal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs, err := campaign.New(campaign.Options{Parallel: runtime.NumCPU(), Cache: cache, Journal: j}).
+			Run(context.Background(), benchScale(), jobs)
+		j.Finish(err)
+		if err == nil {
+			err = j.Err()
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,6 +32,10 @@ import (
 // in exchange delivery order needs no extra machinery. Journal methods
 // take only the journal's own lock, so calling them under mu cannot
 // deadlock; the progress callback must not call back into the board.
+//
+// Each step that journals events — newBoard, next, finish, handleLease,
+// handleComplete and reap — flushes the journal once it has released
+// mu, so the step's lines reach the journal file in one write.
 type board struct {
 	plan        *plan
 	cache       Cache
@@ -135,11 +139,12 @@ func newBoard(p *plan, o boardOptions) *board {
 		doneCh:      make(chan struct{}),
 	}
 	b.work = sync.NewCond(&b.mu)
+	defer b.jnl.flush()
 	b.jnl.Begin(p.sc, len(p.cells), p.prec)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i, c := range p.cells {
-		b.scheduleLocked(i, p.next(c))
+	for i := range p.cells {
+		b.scheduleLocked(i, p.next(&p.cells[i]))
 	}
 	if b.done == len(p.cells) {
 		b.closeLocked(nil)
@@ -191,11 +196,11 @@ func (b *board) observeLocked(cell int, o outcome) (Job, bool) {
 	if more {
 		return next, true
 	}
-	c := b.plan.cells[cell]
+	c := &b.plan.cells[cell]
 	if b.plan.prec != nil {
 		b.jnl.CellRetired(cell, c.job, c.trials, c.half, c.capped)
 	}
-	b.jnl.CellMerged(cell, c.merged)
+	b.jnl.mergeCell(cell, &c.merged)
 	b.done++
 	if b.onProgress != nil {
 		b.onProgress(b.done, len(b.plan.cells), b.hits)
@@ -238,6 +243,7 @@ func (b *board) leaseLocked(worker string, now time.Time) *lease {
 // nil once the board has closed. It serves the in-process pool, whose
 // workers wait on the board instead of polling it.
 func (b *board) next(worker string) *lease {
+	defer b.jnl.flush()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for !b.closed && len(b.pending) == 0 {
@@ -254,6 +260,7 @@ func (b *board) next(worker string) *lease {
 // Pool leases never expire, so only closing the board ends one early; a
 // result arriving after that is discarded.
 func (b *board) finish(l *lease, m core.Metrics, err error) {
+	defer b.jnl.flush()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.closed {
@@ -369,6 +376,7 @@ func (b *board) handleLease(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
+	defer b.jnl.flush()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -417,6 +425,7 @@ func (b *board) handleComplete(w http.ResponseWriter, req *http.Request) {
 	if !decodeBody(w, req, maxCompletionBody, "completion", &cr) {
 		return
 	}
+	defer b.jnl.flush()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	l := b.leases[cr.LeaseID]
@@ -454,6 +463,7 @@ func (b *board) handleComplete(w http.ResponseWriter, req *http.Request) {
 // holder (heartbeats stopped — the worker died or lost its network)
 // and its job goes back in the queue for reassignment.
 func (b *board) reap(now time.Time) {
+	defer b.jnl.flush()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {

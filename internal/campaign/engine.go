@@ -3,7 +3,7 @@ package campaign
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -333,52 +333,86 @@ var summaryMetrics = []struct {
 // renderings — are byte-identical across runs, parallelism levels and
 // cache temperature.
 func Summarize(rs *ResultSet) []stats.Row {
-	byKey := rs.ByKey()
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
+	groups := groupByKey(rs.Results)
+	if len(groups) == 0 {
+		return nil
 	}
-	sort.Strings(keys)
-	var rows []stats.Row
-	for _, k := range keys {
-		ms := byKey[k]
-		buckets := map[string]bool{}
-		for i := range ms {
-			for b := range ms[i].GuestVCPUs {
-				buckets[b] = true
-			}
-		}
-		names := make([]string, 0, len(buckets))
-		for b := range buckets {
-			names = append(names, b)
-		}
-		sort.Strings(names)
-		for _, b := range names {
+	n := 0
+	for _, g := range groups {
+		n += 2*len(g.buckets) + len(summaryMetrics)
+	}
+	rows := make([]stats.Row, 0, n)
+	for _, g := range groups {
+		for _, b := range g.buckets {
 			ipc, tp := &stats.Sample{}, &stats.Sample{}
-			for i := range ms {
-				ipc.Add(ms[i].UserIPC(b))
-				tp.Add(ms[i].Throughput(b))
+			for _, i := range g.cells {
+				m := &rs.Results[i].Metrics
+				ipc.Add(m.UserIPC(b))
+				tp.Add(m.Throughput(b))
 			}
-			rows = append(rows, stats.RowOf(k, "ipc:"+b, ipc))
-			rows = append(rows, stats.RowOf(k, "tp:"+b, tp))
+			rows = append(rows, stats.RowOf(g.key, "ipc:"+b, ipc))
+			rows = append(rows, stats.RowOf(g.key, "tp:"+b, tp))
 		}
 		for _, sm := range summaryMetrics {
 			s := &stats.Sample{}
-			for i := range ms {
-				s.Add(sm.get(&ms[i]))
+			for _, i := range g.cells {
+				s.Add(sm.get(&rs.Results[i].Metrics))
 			}
-			rows = append(rows, stats.RowOf(k, sm.name, s))
+			rows = append(rows, stats.RowOf(g.key, sm.name, s))
 		}
 		// Reliability cells additionally emit the outcome-taxonomy
 		// rows: coverage/SDC with Wilson intervals, outcome counts,
 		// detection-latency percentiles and the MTTF/FIT rollup.
-		batches := make([]*core.ReliaBatch, 0, len(ms))
-		for i := range ms {
-			batches = append(batches, ms[i].Relia)
+		var batches []*core.ReliaBatch
+		for _, i := range g.cells {
+			if b := rs.Results[i].Metrics.Relia; b != nil {
+				batches = append(batches, b)
+			}
 		}
 		if merged := relia.MergeBatches(batches); merged != nil {
-			rows = append(rows, relia.Rows(k, merged, relia.DefaultRates())...)
+			rows = append(rows, relia.Rows(g.key, merged, relia.DefaultRates())...)
 		}
 	}
 	return rows
+}
+
+// keyGroup is one aggregation key's results: their indices into the
+// result set, in expansion order, and the sorted union of their
+// GuestVCPUs buckets.
+type keyGroup struct {
+	key     string
+	cells   []int
+	buckets []string
+}
+
+// groupByKey groups results by aggregation key, in key order. Unlike
+// ByKey it copies no Metrics and computes each key once.
+func groupByKey(results []Result) []keyGroup {
+	keys := make([]string, len(results))
+	order := make([]int, len(results))
+	for i := range results {
+		keys[i], order[i] = results[i].Job.Key(), i
+	}
+	// A stable sort keeps each key's results in expansion order, the
+	// order their samples are summed in.
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+	var groups []keyGroup
+	for start := 0; start < len(order); {
+		end := start + 1
+		for end < len(order) && keys[order[end]] == keys[order[start]] {
+			end++
+		}
+		g := keyGroup{key: keys[order[start]], cells: order[start:end:end]}
+		for _, i := range g.cells {
+			for b := range results[i].Metrics.GuestVCPUs {
+				if !slices.Contains(g.buckets, b) {
+					g.buckets = append(g.buckets, b)
+				}
+			}
+		}
+		slices.Sort(g.buckets)
+		groups = append(groups, g)
+		start = end
+	}
+	return groups
 }

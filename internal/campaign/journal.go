@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,7 +66,14 @@ const (
 // into history-then-live streaming. A nil *Journal records nothing, so
 // every call site is unconditional.
 //
-// Merge ordering is owned here: CellMerged stages out-of-order
+// A file journal holds each event's encoded line until the board step
+// that emitted it ends (flush), Finish, or about journalFlushAt bytes
+// of lines have collected, and then writes them in one Write. A crash
+// loses at most the lines of the step in progress and never part of
+// one; the cache, not the journal, holds the results. Subscribers read
+// the in-memory history, which every event joins at once.
+//
+// Merge ordering is owned here: mergeCell stages out-of-order
 // retirements and emits EventMerged for the contiguous expansion-order
 // prefix only, so subscribers observe the deterministic row sequence
 // regardless of pool scheduling or fleet racing.
@@ -74,16 +83,38 @@ type Journal struct {
 
 	mu       sync.Mutex
 	f        *os.File
-	line     []byte // the encoding buffer, reused for every event
+	pending  *lineBuf // f's lines not yet written; nil without f
 	writeErr error
 	events   []Event
 	seq      int64
-	wake     chan struct{}
+	wake     chan struct{} // made by a waiting subscriber, closed by the next append
 	closed   bool
 
 	next   int // next cell index to merge
 	staged map[int]*outcome
 }
+
+// journalFlushAt is how many bytes of lines a file journal collects
+// before it writes them, whether or not the board step has ended.
+const journalFlushAt = 16 << 10
+
+// lineBuf holds a file journal's unwritten lines. A buffer of
+// 2*journalFlushAt bytes takes any line up to journalFlushAt long
+// without growing.
+type lineBuf struct{ b []byte }
+
+// lineBufs recycles the buffers of finished journals: mmmd and a
+// regeneration loop open one journal per run. Finish drops a buffer
+// that an outsized line grew, so a kept one stays bounded.
+var lineBufs = sync.Pool{New: func() any { return &lineBuf{b: make([]byte, 0, 2*journalFlushAt)} }}
+
+// closedWake is the wake channel of a finished journal: nothing more
+// will be appended, so a waiter must not block.
+var closedWake = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // NewJournal opens a journal for runID. When path is non-empty the
 // events are also appended to a JSONL file there (truncating any
@@ -93,7 +124,6 @@ func NewJournal(runID, path string) (*Journal, error) {
 	j := &Journal{
 		runID:  runID,
 		path:   path,
-		wake:   make(chan struct{}),
 		staged: make(map[int]*outcome),
 	}
 	if path != "" {
@@ -105,6 +135,7 @@ func NewJournal(runID, path string) (*Journal, error) {
 			return nil, fmt.Errorf("campaign: journal: %w", err)
 		}
 		j.f = f
+		j.pending = lineBufs.Get().(*lineBuf)
 	}
 	return j, nil
 }
@@ -117,28 +148,57 @@ func (j *Journal) Path() string {
 	return j.path
 }
 
-// emitLocked appends one event: stamps seq and time, persists the
-// JSONL line with one Write (so a crash leaves whole lines), and wakes
-// every waiting subscriber. Callers hold j.mu. File errors are sticky —
-// journaling degrades to memory-only rather than failing the campaign
-// (the journal is observational).
+// emitLocked appends one event: stamps seq and time, adds it to the
+// history, appends its JSONL line to the pending lines (writing them
+// once they pass journalFlushAt), and wakes every waiting subscriber.
+// Callers hold j.mu. File errors are sticky — journaling degrades to
+// memory-only rather than failing the campaign (the journal is
+// observational). An event that does not encode is such an error; the
+// lines before it are written first.
 func (j *Journal) emitLocked(ev Event) {
 	j.seq++
 	ev.Seq = j.seq
 	ev.Time = time.Now().UTC()
 	j.events = append(j.events, ev)
 	if j.f != nil && j.writeErr == nil {
-		line, err := ev.AppendJSON(j.line[:0])
-		if err == nil {
-			j.line = append(line, '\n')
-			_, err = j.f.Write(j.line)
-		}
+		b, err := ev.AppendJSON(j.pending.b)
 		if err != nil {
-			j.writeErr = err
+			j.flushLocked()
+			if j.writeErr == nil {
+				j.writeErr = err
+			}
+		} else {
+			j.pending.b = append(b, '\n')
+			if len(j.pending.b) >= journalFlushAt {
+				j.flushLocked()
+			}
 		}
 	}
-	close(j.wake)
-	j.wake = make(chan struct{})
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
+}
+
+// flushLocked writes the pending lines in one Write. Callers hold j.mu.
+func (j *Journal) flushLocked() {
+	if j.f == nil || j.writeErr != nil || len(j.pending.b) == 0 {
+		return
+	}
+	_, j.writeErr = j.f.Write(j.pending.b)
+	j.pending.b = j.pending.b[:0]
+}
+
+// flush writes the pending lines. The board calls it at the end of
+// every step that journals events, so a step's events reach the file
+// in one Write.
+func (j *Journal) flush() {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.flushLocked()
 }
 
 // emit appends evs in order, unless the journal is nil or finished —
@@ -160,12 +220,19 @@ func (j *Journal) emit(evs ...Event) {
 // Begin records the run's expansion: the first event, carrying the
 // scale, the cell count and, for an adaptive run, its normalized
 // precision block (an adaptive run's wave count is not known up front
-// — that is the point).
+// — that is the point). It sizes the history for the fewest events a
+// completed run journals: this one, and a landing and a merge per cell.
 func (j *Journal) Begin(sc Scale, cells int, prec *Precision) {
 	if j == nil {
 		return // the event carries j.runID
 	}
-	j.emit(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return
+	}
+	j.events = slices.Grow(j.events, 1+2*max(cells, 0))
+	j.emitLocked(Event{Type: EventExpanded, Run: j.runID, Cell: -1,
 		Total: cells, Scale: &sc, Precision: prec})
 }
 
@@ -233,13 +300,18 @@ func (j *Journal) CellDone(cell int, job Job, hit bool, worker string, wall time
 		Worker: worker, Attempt: attempt, WallMS: wall.Milliseconds(), Wave: job.Knobs.Wave})
 }
 
-// CellMerged records a retired cell's result and advances the merged
-// prefix: every staged cell that is now contiguous from the front emits
-// its EventMerged — in expansion order, exactly once, carrying the Job
-// and Metrics — so subscribers see the deterministic row sequence as it
-// becomes available. A repeated delivery for an already-staged or
-// already-merged cell is dropped.
-func (j *Journal) CellMerged(cell int, o outcome) {
+// mergeCell records a retired cell's result and advances the merged
+// prefix: the cell, if it is next, and every staged cell that is then
+// contiguous from the front emit their EventMerged — in expansion
+// order, exactly once, carrying the Job and Metrics — so subscribers
+// see the deterministic row sequence as it becomes available. Only a
+// cell that retires ahead of the prefix is staged. A repeated delivery
+// for an already-staged or already-merged cell is dropped.
+//
+// The event points at o's Job and Metrics rather than copies, so o
+// must not change afterwards: the board passes a retired cell's
+// outcome, which its plan never changes again.
+func (j *Journal) mergeCell(cell int, o *outcome) {
 	if j == nil {
 		return
 	}
@@ -251,16 +323,22 @@ func (j *Journal) CellMerged(cell int, o outcome) {
 	if cell < j.next || j.staged[cell] != nil {
 		return
 	}
-	j.staged[cell] = &o
-	for st := j.staged[j.next]; st != nil; st = j.staged[j.next] {
+	if cell > j.next {
+		j.staged[cell] = o
+		return
+	}
+	for st := o; st != nil; st = j.staged[j.next] {
 		delete(j.staged, j.next)
-		jb, mt := st.Job, st.Metrics
-		j.emitLocked(Event{Type: EventMerged, Cell: j.next, Key: jb.Key(),
+		j.emitLocked(Event{Type: EventMerged, Cell: j.next, Key: st.Job.Key(),
 			Worker: st.worker, WallMS: st.wall.Milliseconds(), Hit: st.CacheHit,
-			Fp: st.fp, Job: &jb, Metrics: &mt})
+			Fp: st.fp, Job: &st.Job, Metrics: &st.Metrics})
 		j.next++
 	}
 }
+
+// CellMerged is mergeCell for an outcome the caller does not keep: the
+// journal merges a copy of it.
+func (j *Journal) CellMerged(cell int, o outcome) { j.mergeCell(cell, &o) }
 
 // Finish terminates the journal: a non-nil error emits the run-level
 // terminal event (EventCanceled for context cancellation, EventFailed
@@ -284,13 +362,21 @@ func (j *Journal) Finish(err error) {
 	}
 	j.closed = true
 	if j.f != nil {
+		j.flushLocked()
 		if err := j.f.Close(); err != nil && j.writeErr == nil {
 			j.writeErr = err
 		}
 		j.f = nil
+		if cap(j.pending.b) <= 2*journalFlushAt {
+			j.pending.b = j.pending.b[:0]
+			lineBufs.Put(j.pending)
+		}
+		j.pending = nil
 	}
-	close(j.wake)
-	j.wake = make(chan struct{})
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
 }
 
 // Err reports the sticky journal-file error, if any: the first failed
@@ -320,11 +406,11 @@ func (j *Journal) Events() []Event {
 // the full history is the buffer, so a slow consumer never blocks an
 // emitter — it just reads further behind. Sequence numbers are dense
 // from 1 (events[i].Seq == i+1), so the suffix is a slice, not a scan.
+// The wake channel is made here, so a journal nobody follows makes
+// none.
 func (j *Journal) EventsSince(after int64) (evs []Event, wake <-chan struct{}, closed bool) {
 	if j == nil {
-		ch := make(chan struct{})
-		close(ch)
-		return nil, ch, true
+		return nil, closedWake, true
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -332,14 +418,28 @@ func (j *Journal) EventsSince(after int64) (evs []Event, wake <-chan struct{}, c
 	if after < int64(len(j.events)) {
 		evs = append(evs, j.events[after:]...)
 	}
-	return evs, j.wake, j.closed
+	if j.closed {
+		return evs, closedWake, true
+	}
+	if j.wake == nil {
+		j.wake = make(chan struct{})
+	}
+	return evs, j.wake, false
 }
 
-// ReadJournal decodes a JSONL journal stream.
+// ReadJournal decodes a JSONL journal stream. A last line with no
+// newline that does not decode is a write a crash cut short: the
+// events of the whole lines before it are the journal. Any other line
+// that does not decode is an error naming it.
 func ReadJournal(r io.Reader) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	torn := false // the token is a last line with no newline
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		torn = atEOF && len(data) > 0 && bytes.IndexByte(data, '\n') < 0
+		return bufio.ScanLines(data, atEOF)
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -348,6 +448,9 @@ func ReadJournal(r io.Reader) ([]Event, error) {
 		}
 		var ev Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			if torn {
+				break
+			}
 			return nil, fmt.Errorf("campaign: journal line %d: %w", line, err)
 		}
 		events = append(events, ev)

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -461,6 +463,7 @@ func FuzzJournal(f *testing.F) {
 		good.Write(append(line, '\n'))
 	}
 	f.Add(good.Bytes())
+	f.Add(good.Bytes()[:good.Len()-20]) // a torn last line
 	f.Add([]byte(journalNegativeTotal))
 	f.Add([]byte(journalHugeTotal))
 	f.Add([]byte(journalNegativeCell))
@@ -782,5 +785,200 @@ func TestJournalExactlyOnceUnderWorkerDeath(t *testing.T) {
 	}
 	if !bytes.Equal(rows, buf.Bytes()) {
 		t.Fatalf("journal replay diverges from the run:\nrun:    %s\nreplay: %s", rows, buf.Bytes())
+	}
+}
+
+// journalLines renders events as a journal file holds them: each
+// event's AppendJSON encoding and a newline.
+func journalLines(tb testing.TB, events []Event) []byte {
+	tb.Helper()
+	var b []byte
+	for i := range events {
+		var err error
+		if b, err = events[i].AppendJSON(b); err != nil {
+			tb.Fatal(err)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// TestJournalFileMatchesHistory: however the journal batches its
+// writes, the file is byte for byte the history's lines — for a local
+// run, an adaptive run, a 2-worker distributed run, and an all-hit run
+// whose one board step journals more than journalFlushAt bytes.
+func TestJournalFileMatchesHistory(t *testing.T) {
+	jobs := determinismJobs(t)
+	_, ts1 := startWorker(t, "w1", 2, nil)
+	_, ts2 := startWorker(t, "w2", 2, nil)
+	warm := figure5Jobs(t)
+	for _, tc := range []struct {
+		name   string
+		runner func(*Journal) Runner
+		spec   Spec
+	}{
+		{"local", func(j *Journal) Runner { return New(Options{Parallel: 2, Journal: j}) }, Spec{Jobs: jobs}},
+		{"adaptive", func(j *Journal) Runner { return New(Options{Parallel: 2, Journal: j}) }, adaptiveSpec()},
+		{"distributed", func(j *Journal) Runner {
+			return NewDispatcher(DispatchOptions{Workers: []string{ts1.URL, ts2.URL}, LeaseTTL: 2 * time.Second, Journal: j})
+		}, Spec{Jobs: jobs}},
+		{"warm", func(j *Journal) Runner {
+			return New(Options{Parallel: 2, Cache: warmCache(t, microScale(), warm), Journal: j})
+		}, Spec{Jobs: warm}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.journal.jsonl")
+			j, err := NewJournal(tc.name, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunSpec(context.Background(), tc.runner(j), microScale(), tc.spec); err != nil {
+				t.Fatal(err)
+			}
+			j.Finish(nil)
+			if err := j.Err(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := journalLines(t, j.Events())
+			if !bytes.Equal(got, want) {
+				t.Fatalf("journal file (%d bytes) differs from its %d events' lines (%d bytes)",
+					len(got), len(j.Events()), len(want))
+			}
+			if tc.name == "warm" && len(got) <= journalFlushAt {
+				t.Fatalf("warm journal is %d bytes, want over %d", len(got), journalFlushAt)
+			}
+		})
+	}
+}
+
+// TestJournalCrashTail: what a crash leaves. After each board step the
+// file, read while the journal is still open, holds every event so far
+// as whole lines, validates, and replays to the merged prefix. An event
+// that does not encode stops the file, with every line before it
+// written.
+func TestJournalCrashTail(t *testing.T) {
+	jobs := determinismJobs(t)
+	if len(jobs) < 4 {
+		t.Fatalf("need >= 4 jobs, have %d", len(jobs))
+	}
+	sc := microScale()
+	path := filepath.Join(t.TempDir(), "crash.journal.jsonl")
+	j, err := NewJournal("crash", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Finish(nil)
+	onDisk := func(step string, merged int) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, journalLines(t, j.Events())) {
+			t.Fatalf("after %s the file is not the history's lines:\n%s", step, data)
+		}
+		events, err := ReadJournal(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := ReplayResults(events)
+		if err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+		if len(rs.Results) != merged {
+			t.Fatalf("after %s the file replays %d cells, want %d", step, len(rs.Results), merged)
+		}
+		for i, r := range rs.Results {
+			if r.Job != jobs[i] {
+				t.Fatalf("after %s replayed cell %d is %+v, want %+v", step, i, r.Job, jobs[i])
+			}
+		}
+	}
+
+	// Cells 0 and 1 are cached: the board's first step merges them.
+	b := newBoard(fixedPlan(sc, jobs), boardOptions{cache: warmCache(t, sc, jobs[:2]), journal: j, maxAttempts: 1})
+	defer b.close(errors.New("test over"))
+	onDisk("newBoard", 2)
+	l2, l3 := b.next("w"), b.next("w")
+	onDisk("next", 2)
+	// Cell 3 lands first and waits for cell 2.
+	b.finish(l3, warmMetrics(3, jobs[3]), nil)
+	onDisk("an out-of-order finish", 2)
+	b.finish(l2, warmMetrics(2, jobs[2]), nil)
+	onDisk("finish", 4)
+
+	// An event that does not encode: the lines before it are written,
+	// none after it.
+	path = filepath.Join(t.TempDir(), "nan.journal.jsonl")
+	j2, err := NewJournal("nan", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Begin(sc, len(jobs), nil)
+	landed(j2, 0, jobs[0], true, "", 0, 0)
+	good := len(j2.Events())
+	j2.WaveScheduled(1, jobs[1], math.NaN())
+	landed(j2, 1, jobs[1], true, "", 0, 0)
+	if j2.Err() == nil {
+		t.Fatal("a NaN half-width encoded")
+	}
+	want := journalLines(t, j2.Events()[:good])
+	holdsGoodLines := func(when string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("%s journal after a failed encode holds:\n%s\nwant the %d lines before it:\n%s", when, data, good, want)
+		}
+	}
+	holdsGoodLines("open")
+	j2.Finish(nil)
+	holdsGoodLines("finished")
+}
+
+// TestReadJournalTornTail: a last line a crash cut short (no newline,
+// does not decode) is dropped and the whole lines before it are the
+// journal; a malformed line that ends in a newline still fails, naming
+// its line.
+func TestReadJournalTornTail(t *testing.T) {
+	events := goodJournal(t)
+	data := journalLines(t, events)
+	end := 0
+	for i := range events {
+		start := end
+		end += bytes.IndexByte(data[start:], '\n') + 1
+		for _, tc := range []struct {
+			cut, want int
+		}{
+			{start + (end-start)/2, i}, // mid-line: torn
+			{end - 1, i + 1},           // whole but for its newline
+			{end, i + 1},
+		} {
+			got, err := ReadJournal(bytes.NewReader(data[:tc.cut]))
+			if err != nil {
+				t.Fatalf("cut at byte %d of line %d: %v", tc.cut, i+1, err)
+			}
+			if len(got) != tc.want || (tc.want > 0 && got[tc.want-1].Seq != events[tc.want-1].Seq) {
+				t.Fatalf("cut at byte %d of line %d: %d events, want %d", tc.cut, i+1, len(got), tc.want)
+			}
+		}
+	}
+
+	// The same half line followed by a newline is corrupt, not torn.
+	second := bytes.IndexByte(data, '\n') + 1
+	third := second + bytes.IndexByte(data[second:], '\n') + 1
+	bad := append(append(append([]byte{}, data[:second]...), data[second:third-10]...), '\n')
+	_, err := ReadJournal(bytes.NewReader(bad))
+	if err == nil || !strings.Contains(err.Error(), "journal line 2") {
+		t.Fatalf("malformed line 2 ending in a newline: %v", err)
+	}
+	if _, err := ReadJournal(bytes.NewReader(append(bad, data[third:]...))); err == nil {
+		t.Fatal("malformed line in the middle accepted")
 	}
 }

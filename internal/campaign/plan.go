@@ -76,16 +76,16 @@ type outcome struct {
 type plan struct {
 	sc    Scale
 	prec  *Precision // nil for a fixed campaign
-	cells []*cellState
+	cells []cellState
 }
 
 // fixedPlan plans an expanded job list: one cell per job, in order.
 func fixedPlan(sc Scale, jobs []Job) *plan {
-	p := &plan{sc: sc, cells: make([]*cellState, len(jobs))}
+	p := &plan{sc: sc, cells: make([]cellState, len(jobs))}
 	for i, j := range jobs {
 		// Half-width 1 is the widest interval: every fixed job leases at
 		// the same priority, so the board's FIFO keeps expansion order.
-		p.cells[i] = &cellState{job: j, half: 1}
+		p.cells[i] = cellState{job: j, half: 1}
 	}
 	return p
 }
@@ -192,7 +192,7 @@ func (p *plan) halfWidth(c *cellState) float64 {
 // wave order and the merged aggregate equals a single batch of the same
 // trials.
 func (p *plan) observe(cell int, o outcome) (Job, bool, error) {
-	c := p.cells[cell]
+	c := &p.cells[cell]
 	c.waves++
 	if o.CacheHit {
 		c.hits++
@@ -238,6 +238,9 @@ func (p *plan) observe(cell int, o outcome) (Job, bool, error) {
 		},
 		wall: c.wall,
 	}
+	// The journal's merged event keeps the cell alive for the run's
+	// history; the wave batches are in the merged one now.
+	c.batches = nil
 	return Job{}, false, nil
 }
 
@@ -245,8 +248,8 @@ func (p *plan) observe(cell int, o outcome) (Job, bool, error) {
 // calls it only after every cell retired.
 func (p *plan) results() []Result {
 	out := make([]Result, len(p.cells))
-	for i, c := range p.cells {
-		out[i] = c.merged.Result
+	for i := range p.cells {
+		out[i] = p.cells[i].merged.Result
 	}
 	return out
 }
