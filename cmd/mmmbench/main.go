@@ -8,7 +8,7 @@
 //	mmmbench -measure 3000000 # override the measurement window
 //	mmmbench -cache ./cache   # reuse results across invocations
 //	mmmbench -json out.json   # machine-readable per-experiment results
-//	mmmbench -workers n1:8078,n2:8078  # shard jobs across mmmd -worker nodes
+//	mmmbench -workers n1:8078,n2:8078  # push jobs to mmmd -worker nodes
 //
 // Experiments, in the order -exp all runs them: fig5a, fig5b, fig6a,
 // fig6b, table1, table2, pab, singleos, faults, relia, policy, tso,
@@ -123,7 +123,6 @@ func main() {
 		hw        = flag.Float64("halfwidth", 0, "run -exp relia with sequential stopping: trials in waves until each cell's 95% interval on coverage is within this half-width (e.g. 0.05)")
 		fixTrials = flag.Int("trials", 0, "override -exp relia fixed trials per cell (sizes a fixed-batch run to an adaptive run's worst-case budget; ignored with -halfwidth)")
 		workers   = flag.String("workers", "", "comma-separated mmmd worker fleet (host:port,...); shards campaign jobs remotely")
-		coord     = flag.String("coordinator", "", "job-board bind address for -workers (host[:port]); set a host the workers can reach for cross-host fleets (default loopback, single-machine only)")
 		jsonOut   = flag.String("json", "", "write per-experiment results as JSON to this file (- for stdout)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file at exit")
@@ -234,7 +233,6 @@ func main() {
 		cfg.Runner = campaign.NewDispatcher(campaign.DispatchOptions{
 			Workers: fleet,
 			Cache:   cache,
-			Addr:    campaign.CoordinatorAddr(*coord),
 		})
 	} else {
 		cfg.Runner = campaign.New(campaign.Options{Parallel: *par, Cache: cache})

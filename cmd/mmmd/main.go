@@ -16,16 +16,18 @@
 //	curl -X POST localhost:8077/campaigns/c1/cancel
 //
 // With -worker, mmmd is instead one node of a simulation fleet: it
-// serves the attach endpoint and pulls jobs from any coordinator that
-// invites it, leasing one job per capacity slot, heartbeating while
-// it simulates, and returning canonical metrics plus the job's cache
-// key:
+// runs the jobs coordinators push to it (POST /v1/run), at most
+// -capacity at once, writing a keepalive newline while each waits or
+// simulates and then its canonical metrics plus the job's cache key.
+// A worker never opens a connection, so it must be reachable from
+// every coordinator that uses it:
 //
 //	mmmd -worker -addr :8078 -name node1 -capacity 8 -cache ./w-cache
 //
 // A coordinator-side service shards submitted campaigns across such
 // workers when started with a fleet (or when the submission names
-// one):
+// one): it reads each worker's GET /v1/worker and pushes one job per
+// reported capacity slot at a time:
 //
 //	mmmd -addr :8077 -workers node1:8078,node2:8078
 //	curl -X POST localhost:8077/campaigns \
@@ -55,10 +57,9 @@ func main() {
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "worker-pool size per campaign (local execution)")
 		campaigns = flag.Int("campaigns", 2, "campaigns executing concurrently")
 		workers   = flag.String("workers", "", "comma-separated worker fleet (host:port,...); campaigns shard across it by default")
-		coord     = flag.String("coordinator", "", "job-board bind address for distributed campaigns (host[:port]); set a host the workers can reach for cross-host fleets (default loopback; omit the port so concurrent campaigns get their own)")
 		worker    = flag.Bool("worker", false, "run as a fleet worker instead of the campaign service")
 		name      = flag.String("name", "", "worker name reported to coordinators (default: the listen address)")
-		capacity  = flag.Int("capacity", runtime.NumCPU(), "concurrent leased jobs in -worker mode")
+		capacity  = flag.Int("capacity", runtime.NumCPU(), "jobs simulated at once in -worker mode")
 		debug     = flag.Bool("debug", false, "expose /debug/pprof profiling endpoints")
 		journals  = flag.String("journals", "", "run-journal directory (default <cache>/journals; 'none' keeps journals in memory only)")
 		traceDir  = flag.String("trace-dir", "", "write flight-recorder traces for simulated jobs here (empty disables)")
@@ -99,7 +100,6 @@ func main() {
 
 	srv := newServer(ctx, cache, *parallel, *campaigns)
 	srv.fleet = campaign.ParseWorkerList(*workers)
-	srv.coordAddr = *coord
 	srv.debug = *debug
 	srv.journalDir = journalDir
 	srv.traceDir = *traceDir
@@ -113,7 +113,7 @@ func main() {
 		<-ctx.Done()
 		// Graceful shutdown: stop accepting requests, cancel running
 		// campaigns, and drain the workers. Cancelling a distributed
-		// campaign revokes every outstanding worker lease before its
+		// campaign aborts every request in flight to a worker before its
 		// runner returns, so a SIGTERM'd coordinator leaves no orphans
 		// and a restart resumes from the cache without double-counting
 		// any job (completed jobs are already cached).
@@ -137,9 +137,10 @@ func main() {
 }
 
 // runWorker serves one fleet node until SIGINT/SIGTERM. On shutdown
-// it abandons in-flight leases — coordinators expire and reassign
-// them, and per-job derived seeds make the reassigned runs
-// byte-identical — so killing a worker never corrupts a campaign.
+// it abandons its in-flight jobs — their responses end without a
+// result, coordinators reassign them, and per-job derived seeds make
+// the reassigned runs byte-identical — so killing a worker never
+// corrupts a campaign.
 func runWorker(ctx context.Context, addr, name string, capacity int, cache campaign.Cache, debug bool, traceDir, traceMatch string) {
 	if name == "" {
 		name = addr
@@ -179,5 +180,5 @@ func runWorker(ctx context.Context, addr, name string, capacity int, cache campa
 		log.Fatalf("mmmd worker: %v", err)
 	}
 	w.Stop()
-	log.Printf("mmmd worker %s: detached, bye", name)
+	log.Printf("mmmd worker %s: stopped, bye", name)
 }

@@ -32,7 +32,7 @@ func (s *server) initMetrics() {
 	s.reg = r
 	s.fleetObs = campaign.NewFleetObs(r)
 	s.jobSeconds = r.Histogram("mmmd_job_seconds",
-		"Wall time of locally simulated campaign jobs (cache hits excluded).", nil)
+		"Wall time of locally simulated campaign jobs (cache hits excluded).")
 	s.traceEvents, s.traceDropped = traceCounters(r, "local")
 	r.RegisterCollector(func(emit func(obs.Sample)) {
 		emit(obs.Sample{Name: "mmmd_uptime_seconds",
@@ -124,36 +124,30 @@ func traceCounters(r *obs.Registry, jobs string) (events, dropped *obs.Counter) 
 	return events, dropped
 }
 
-// workerRegistry builds the -worker mode registry: the worker's pull
+// workerRegistry builds the -worker mode registry: the worker's job
 // counters plus the shared job-latency histogram fed via OnJobTime and
 // the flight-recorder volume counters fed via OnTrace.
 func workerRegistry(w *campaign.Worker, started time.Time) (r *obs.Registry, jobSeconds *obs.Histogram, traceEvents, traceDropped *obs.Counter) {
 	r = obs.NewRegistry()
 	jobSeconds = r.Histogram("mmmd_job_seconds",
-		"Wall time of leased jobs this worker simulated (local cache hits excluded).", nil)
-	traceEvents, traceDropped = traceCounters(r, "leased")
+		"Wall time of pushed jobs this worker simulated (local cache hits excluded).")
+	traceEvents, traceDropped = traceCounters(r, "pushed")
 	r.RegisterCollector(func(emit func(obs.Sample)) {
 		st := w.Stats()
 		emit(obs.Sample{Name: "mmmd_uptime_seconds",
 			Help: "Seconds since the worker started.", Type: "gauge",
 			Value: time.Since(started).Seconds()})
 		emit(obs.Sample{Name: "mmmd_worker_capacity",
-			Help: "Concurrent lease slots.", Type: "gauge",
+			Help: "Jobs simulated at once.", Type: "gauge",
 			Value: float64(st.Capacity)})
-		emit(obs.Sample{Name: "mmmd_worker_attachments",
-			Help: "Live coordinator attachments.", Type: "gauge",
-			Value: float64(st.Attachments)})
-		emit(obs.Sample{Name: "mmmd_worker_attach_total",
-			Help: "Attach invitations accepted.", Type: "counter",
-			Value: float64(st.AttachTotal)})
 		emit(obs.Sample{Name: "mmmd_worker_jobs_done_total",
-			Help: "Leased jobs completed successfully.", Type: "counter",
+			Help: "Pushed jobs answered with a result.", Type: "counter",
 			Value: float64(st.JobsDone)})
 		emit(obs.Sample{Name: "mmmd_worker_jobs_failed_total",
-			Help: "Leased jobs that errored.", Type: "counter",
+			Help: "Pushed jobs answered with an error.", Type: "counter",
 			Value: float64(st.JobsFailed)})
 		emit(obs.Sample{Name: "mmmd_worker_leases_lost_total",
-			Help: "Leases revoked or expired under this worker.", Type: "counter",
+			Help: "Pushed jobs whose response ended without a result: the coordinator went away or the worker stopped.", Type: "counter",
 			Value: float64(st.LeasesLost)})
 	})
 	return r, jobSeconds, traceEvents, traceDropped
@@ -226,16 +220,16 @@ const (
 )
 
 // routes is the path-label vocabulary: every route the coordinator
-// (apiRoutes) and the -worker mux (its attach route) serve, plus the
-// removed unversioned spellings of those API routes (404s that keep
-// labels of their own).
+// (apiRoutes) and the -worker mux (its fleet routes) serve, plus the
+// removed unversioned spellings of the coordinator's API routes (404s
+// that keep labels of their own).
 var routes = func() map[string]bool {
 	m := map[string]bool{"/healthz": true, "/metrics": true, "/debug/pprof/": true}
 	for _, p := range []string{"cmdline", "profile", "symbol", "trace",
 		"allocs", "block", "goroutine", "heap", "mutex", "threadcreate"} {
 		m["/debug/pprof/"+p] = true
 	}
-	m[api.PathPrefix+"/attach"], m["/attach"] = true, true
+	m[api.PathPrefix+"/worker"], m[api.PathPrefix+"/run"] = true, true
 	for _, rt := range apiRoutes {
 		m[api.PathPrefix+rt.path], m[rt.path] = true, true
 	}
@@ -282,7 +276,7 @@ func methodLabel(method string) string {
 // present) and counted into the registry under bounded labels.
 func accessLog(next http.Handler, reg *obs.Registry) http.Handler {
 	seconds := reg.Histogram("mmmd_http_request_seconds",
-		"HTTP request latency.", nil)
+		"HTTP request latency.")
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}

@@ -190,7 +190,8 @@ func TestRouteLabel(t *testing.T) {
 		{"/status", "/status", ""},
 		{"/metrics", "/metrics", ""},
 		{"/v1/campaigns/c3/results", "/v1/campaigns/{id}/results", "c3"},
-		{"/v1/attach", "/v1/attach", ""},
+		{"/v1/worker", "/v1/worker", ""},
+		{"/v1/run", "/v1/run", ""},
 		{"/healthz", "/healthz", ""},
 		{"/debug/pprof/heap", "/debug/pprof/heap", ""},
 		// Anything no route serves folds into one value, run id or not.
@@ -286,8 +287,6 @@ func TestWorkerRegistryExposition(t *testing.T) {
 	for _, want := range []string{
 		"mmmd_uptime_seconds",
 		"mmmd_worker_capacity",
-		"mmmd_worker_attachments",
-		"mmmd_worker_attach_total",
 		"mmmd_worker_jobs_done_total",
 		"mmmd_worker_jobs_failed_total",
 		"mmmd_worker_leases_lost_total",

@@ -81,7 +81,6 @@ type server struct {
 	counting   *campaign.CountingCache // same cache, for /status counters; nil when caching is off
 	parallel   int
 	fleet      []string // default worker URLs; empty = local execution
-	coordAddr  string   // job-board bind address for distributed runs
 	retain     int      // completed runs kept; older ones are evicted
 	debug      bool     // mount /debug/pprof
 	journalDir string   // run journals (JSONL); "" keeps journals in memory only
@@ -300,11 +299,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 // execute runs one campaign to completion, respecting the
 // per-service concurrency bound. A non-empty fleet shards the jobs
-// across remote workers via the lease protocol; otherwise the local
-// bounded pool runs them. Both pull from the same kind of campaign
-// board and share the service cache, so a campaign started locally
-// finishes remotely (and vice versa) without re-simulating. Specs with
-// a precision block run adaptively on either path.
+// across remote workers; otherwise the local bounded pool runs them.
+// Both lease from the same kind of campaign board and share the
+// service cache, so a campaign started locally finishes remotely (and
+// vice versa) without re-simulating. Specs with a precision block run
+// adaptively on either path.
 func (s *server) execute(ctx context.Context, r *run, spec campaign.Spec, fleet []string) {
 	defer s.wg.Done()
 	defer r.cancel()
@@ -335,7 +334,6 @@ func (s *server) execute(ctx context.Context, r *run, spec campaign.Spec, fleet 
 		runner = campaign.NewDispatcher(campaign.DispatchOptions{
 			Workers:    fleet,
 			Cache:      s.cache,
-			Addr:       campaign.CoordinatorAddr(s.coordAddr),
 			OnProgress: onProgress,
 			Obs:        s.fleetObs,
 			Journal:    r.jnl,

@@ -270,9 +270,7 @@ func TestServiceStatusReportsCacheCounters(t *testing.T) {
 func TestFleetSubmitMatchesLocal(t *testing.T) {
 	var workers []string
 	for _, name := range []string{"w1", "w2"} {
-		w := campaign.NewWorker(campaign.WorkerOptions{
-			Name: name, Capacity: 2, Poll: 5 * time.Millisecond,
-		})
+		w := campaign.NewWorker(campaign.WorkerOptions{Name: name, Capacity: 2})
 		wts := httptest.NewServer(w.Handler())
 		t.Cleanup(func() {
 			w.Stop()

@@ -20,12 +20,15 @@ const (
 	EventCacheHit EventType = "cache_hit"
 	// EventLeased marks a cell leased to a worker (Attempt starts at 1).
 	EventLeased EventType = "leased"
-	// EventStarted marks a cell beginning simulation (for distributed
-	// runs this coincides with the lease grant — workers lease only
-	// into a free slot and run immediately).
+	// EventStarted marks a cell beginning simulation. For distributed
+	// runs it coincides with the lease grant: both are journaled when
+	// the worker accepts the job (answers 200), although the job may
+	// wait there for a free capacity slot.
 	EventStarted EventType = "started"
-	// EventHeartbeatMissed marks a lease reaped after its worker went
-	// silent; the cell returns to the queue.
+	// EventHeartbeatMissed marks a lost lease: the worker accepted the
+	// job, then its response went silent for longer than the lease TTL
+	// or ended without a result (the worker died or was stopped). The
+	// attempt is spent and the cell returns to the queue.
 	EventHeartbeatMissed EventType = "heartbeat_missed"
 	// EventReassigned marks a lease grant that retries a previously
 	// attempted cell (always paired with an EventLeased of Attempt > 1).

@@ -35,8 +35,8 @@ type SubmitRequest struct {
 	Precision *Precision `json:"precision,omitempty"`
 	// Workers overrides the worker fleet ("host:port" or URLs) for
 	// this campaign; empty uses the service's -workers default.
-	// Campaign jobs are then sharded across the fleet through the
-	// pull-based lease protocol instead of the local pool.
+	// Campaign jobs are then pushed to the fleet's workers instead of
+	// the local pool.
 	Workers []string `json:"workers,omitempty"`
 	// Local forces local execution even when the service has a
 	// default fleet.
@@ -104,64 +104,43 @@ type Axes struct {
 	Precision *Precision `json:"precision,omitempty"`
 }
 
-// --- lease protocol (board <-> worker) -----------------------------
+// --- fleet protocol (coordinator -> worker) ------------------------
 
-// AttachRequest invites a worker to start pulling jobs from a board
-// (POST {worker}/v1/attach).
-type AttachRequest struct {
-	// Coordinator is the base URL of the board to pull from.
-	Coordinator string `json:"coordinator"`
-	// Check is the coordinator's protocol check token; the worker
-	// refuses the attachment unless it matches its own.
+// WorkerInfo is the body of GET {worker}/v1/worker: what a coordinator
+// needs before it pushes jobs to the worker.
+type WorkerInfo struct {
+	Worker   string `json:"worker"`
+	Capacity int    `json:"capacity"`
+	// Check is the worker's protocol check token; a coordinator whose
+	// own token differs does not use the worker.
 	Check string `json:"check"`
 }
 
-// AttachResponse acknowledges an attachment.
-type AttachResponse struct {
-	Worker   string `json:"worker"`
-	Capacity int    `json:"capacity"`
-	Check    string `json:"check"`
-}
-
-// LeaseRequest asks the board for one job (POST {board}/lease).
-type LeaseRequest struct {
-	Worker string `json:"worker"`
-	Check  string `json:"check"`
-}
-
-// LeaseResponse hands a worker one job under a lease. SimSeed and
-// Fingerprint are the coordinator's derivations; the worker recomputes
-// both and refuses the job on mismatch, so a seed-derivation or
-// fingerprint skew between builds surfaces as an explicit error
-// instead of a silently divergent (and wrongly cached) simulation.
-type LeaseResponse struct {
-	LeaseID     string `json:"lease_id"`
+// RunRequest pushes one job to a worker (POST {worker}/v1/run).
+// SimSeed and Fingerprint are the coordinator's derivations; the worker
+// recomputes both and reports a mismatch as the job's error, so a
+// seed-derivation or fingerprint skew between builds surfaces as an
+// explicit error instead of a silently divergent (and wrongly cached)
+// simulation.
+type RunRequest struct {
+	// Check is the coordinator's protocol check token; the worker
+	// answers 409 unless it matches its own.
+	Check       string `json:"check"`
 	Job         Job    `json:"job"`
 	Scale       Scale  `json:"scale"`
 	SimSeed     uint64 `json:"sim_seed"`
 	Fingerprint string `json:"fingerprint"`
-	TTLMS       int64  `json:"ttl_ms"`
+	// TTLMS is the coordinator's lease TTL: the worker writes a
+	// keepalive newline every third of it until the result is ready.
+	TTLMS int64 `json:"ttl_ms"`
 }
 
-// HeartbeatRequest extends a lease while its job simulates.
-type HeartbeatRequest struct {
-	LeaseID string `json:"lease_id"`
-}
-
-// CompleteRequest returns a finished job: the canonical core.Metrics
-// payload (the same JSON the content-addressed cache stores) plus the
-// job's cache key, or an error. Exactly one of Metrics/Error is set.
-type CompleteRequest struct {
-	LeaseID     string        `json:"lease_id"`
-	Worker      string        `json:"worker"`
+// RunResult is the last line of a run response: the canonical
+// core.Metrics payload (the same JSON the content-addressed cache
+// stores) plus the job's cache key, or an error. Exactly one of
+// Metrics/Error is set.
+type RunResult struct {
 	Fingerprint string        `json:"fingerprint"`
 	Metrics     *core.Metrics `json:"metrics,omitempty"`
 	Error       string        `json:"error,omitempty"`
-}
-
-// BoardStatus is the terminal payload of 410 responses: why the board
-// is over, so workers can log something actionable.
-type BoardStatus struct {
-	Done  bool   `json:"done"`
-	Error string `json:"error,omitempty"`
 }

@@ -275,7 +275,7 @@ func TestAdaptiveWorkerKilledMidWave(t *testing.T) {
 	spec := adaptiveSpec()
 	local, _ := runSpecRows(t, New(Options{Parallel: 2}), spec)
 
-	victim, ts1 := startWorker(t, "victim", 2, nil)
+	victim, ts1 := startVictim(t, "victim", 2)
 	_, ts2 := startWorker(t, "survivor", 2, nil)
 	counting := NewCountingCache(NewMemCache())
 	j, err := NewJournal("kill", "")

@@ -126,19 +126,13 @@ func (e *Engine) RunSpec(ctx context.Context, sc Scale, spec Spec) (*ResultSet, 
 // runPlan runs p to its end on a new board, which it also returns so
 // tests can check that no lease outlives the run.
 func (e *Engine) runPlan(ctx context.Context, p *plan) (*ResultSet, *board, error) {
-	start := time.Now()
-	b := newBoard(p, boardOptions{
+	h := jobHooks{e.opts.TraceDir, e.opts.TraceMatch, e.opts.OnJobTime, e.opts.OnTrace}
+	return runPool(ctx, p, boardOptions{
 		cache:       e.opts.Cache,
 		journal:     e.opts.Journal,
 		onProgress:  e.opts.OnProgress,
 		maxAttempts: 1,
-	})
-	if err := ctx.Err(); err != nil {
-		b.close(err)
-	}
-	if !b.isClosed() {
-		stop := context.AfterFunc(ctx, func() { b.close(ctx.Err()) })
-		h := jobHooks{e.opts.TraceDir, e.opts.TraceMatch, e.opts.OnJobTime, e.opts.OnTrace}
+	}, func(_ context.Context, b *board) error {
 		var wg sync.WaitGroup
 		for w := 0; w < e.opts.Parallel; w++ {
 			// The pool slot doubles as the journal's worker label for
@@ -160,7 +154,30 @@ func (e *Engine) runPlan(ctx context.Context, p *plan) (*ResultSet, *board, erro
 			}()
 		}
 		wg.Wait()
+		return nil
+	})
+}
+
+// runPool runs p to its end on a new board with o's settings and
+// returns the result set and the board. Unless the cache serves the
+// whole plan, pool runs the pool goroutines that lease the board's
+// jobs, and returns once they all have: the board has closed, or the
+// pool gave up with an error, which then fails the run. Cancelling ctx
+// closes the board.
+func runPool(ctx context.Context, p *plan, o boardOptions, pool func(context.Context, *board) error) (*ResultSet, *board, error) {
+	start := time.Now()
+	b := newBoard(p, o)
+	if err := ctx.Err(); err != nil {
+		b.close(err)
+	}
+	if !b.isClosed() {
+		stop := context.AfterFunc(ctx, func() { b.close(ctx.Err()) })
+		err := pool(ctx, b)
 		stop()
+		if ctx.Err() != nil {
+			err = ctx.Err()
+		}
+		b.close(err)
 	}
 	rs, err := b.result(ctx, start)
 	return rs, b, err
@@ -342,23 +359,27 @@ func Summarize(rs *ResultSet) []stats.Row {
 		n += 2*len(g.buckets) + len(summaryMetrics)
 	}
 	rows := make([]stats.Row, 0, n)
+	// One sample serves every row: RowOf keeps nothing of it.
+	var s stats.Sample
 	for _, g := range groups {
 		for _, b := range g.buckets {
-			ipc, tp := &stats.Sample{}, &stats.Sample{}
+			s.Reset()
 			for _, i := range g.cells {
-				m := &rs.Results[i].Metrics
-				ipc.Add(m.UserIPC(b))
-				tp.Add(m.Throughput(b))
+				s.Add(rs.Results[i].Metrics.UserIPC(b))
 			}
-			rows = append(rows, stats.RowOf(g.key, "ipc:"+b, ipc))
-			rows = append(rows, stats.RowOf(g.key, "tp:"+b, tp))
+			rows = append(rows, stats.RowOf(g.key, "ipc:"+b, &s))
+			s.Reset()
+			for _, i := range g.cells {
+				s.Add(rs.Results[i].Metrics.Throughput(b))
+			}
+			rows = append(rows, stats.RowOf(g.key, "tp:"+b, &s))
 		}
 		for _, sm := range summaryMetrics {
-			s := &stats.Sample{}
+			s.Reset()
 			for _, i := range g.cells {
 				s.Add(sm.get(&rs.Results[i].Metrics))
 			}
-			rows = append(rows, stats.RowOf(g.key, sm.name, s))
+			rows = append(rows, stats.RowOf(g.key, sm.name, &s))
 		}
 		// Reliability cells additionally emit the outcome-taxonomy
 		// rows: coverage/SDC with Wilson intervals, outcome counts,

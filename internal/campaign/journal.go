@@ -257,7 +257,8 @@ func (j *Journal) Started(cell int, job Job, worker string, attempt int) {
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
 }
 
-// HeartbeatMissed records a lease reaped after missed heartbeats.
+// HeartbeatMissed records a lost lease: the worker went silent or
+// ended its response without a result.
 func (j *Journal) HeartbeatMissed(cell int, job Job, worker string, attempt int) {
 	j.emit(Event{Type: EventHeartbeatMissed, Cell: cell, Key: job.Key(),
 		Worker: worker, Attempt: attempt, Wave: job.Knobs.Wave})
@@ -335,10 +336,6 @@ func (j *Journal) mergeCell(cell int, o *outcome) {
 		j.next++
 	}
 }
-
-// CellMerged is mergeCell for an outcome the caller does not keep: the
-// journal merges a copy of it.
-func (j *Journal) CellMerged(cell int, o outcome) { j.mergeCell(cell, &o) }
 
 // Finish terminates the journal: a non-nil error emits the run-level
 // terminal event (EventCanceled for context cancellation, EventFailed

@@ -34,7 +34,7 @@ func journalTypes(events []Event) map[api.EventType]int {
 // as the board does when a fixed job completes or hits the cache.
 func landed(j *Journal, cell int, job Job, hit bool, worker string, wall time.Duration, attempt int) {
 	j.CellDone(cell, job, hit, worker, wall, attempt)
-	j.CellMerged(cell, outcome{Result: Result{Job: job, CacheHit: hit},
+	j.mergeCell(cell, &outcome{Result: Result{Job: job, CacheHit: hit},
 		worker: worker, wall: wall, fp: job.Fingerprint(microScale())})
 }
 
@@ -65,7 +65,7 @@ func TestJournalMergePrefixOrdering(t *testing.T) {
 		landed(j, i, jobs[i], false, "w1", time.Second, 1)
 	}
 	// Duplicate deliveries — a raced late completion — must be dropped.
-	j.CellMerged(0, outcome{Result: Result{Job: jobs[0]}, worker: "dup", wall: time.Second})
+	j.mergeCell(0, &outcome{Result: Result{Job: jobs[0]}, worker: "dup", wall: time.Second})
 	j.Finish(nil)
 
 	events := j.Events()
@@ -496,7 +496,7 @@ func TestJournalNilSafe(t *testing.T) {
 	j.HeartbeatMissed(0, jobs[0], "w", 1)
 	j.CellFailed(0, jobs[0], "w", 1, "x")
 	j.CellDone(0, jobs[0], false, "w", 0, 1)
-	j.CellMerged(0, outcome{})
+	j.mergeCell(0, &outcome{})
 	j.Finish(nil)
 	if j.Events() != nil || j.Path() != "" || j.Err() != nil {
 		t.Fatal("nil journal returned state")
@@ -688,7 +688,7 @@ func TestJournalExactlyOnceUnderWorkerDeath(t *testing.T) {
 	jobs := determinismJobs(t)
 	local, _ := runRows(t, New(Options{Parallel: 2}), jobs)
 
-	victim, ts1 := startWorker(t, "victim", 2, nil)
+	victim, ts1 := startVictim(t, "victim", 2)
 	_, ts2 := startWorker(t, "survivor", 2, nil)
 
 	j, err := NewJournal("kill", filepath.Join(t.TempDir(), "kill.journal.jsonl"))

@@ -8,8 +8,8 @@ import (
 )
 
 // FleetObs instruments the distributed campaign protocol — lease
-// grants, expiries and reassignments, job completions and latencies,
-// worker heartbeat ages — into an obs.Registry. A nil *FleetObs
+// grants, lost leases and reassignments, job completions and
+// latencies, worker keepalive ages — into an obs.Registry. A nil *FleetObs
 // records nothing, so the board and dispatcher call it unconditionally.
 type FleetObs struct {
 	leaseGrants   *obs.Counter
@@ -30,7 +30,7 @@ func NewFleetObs(r *obs.Registry) *FleetObs {
 		leaseGrants: r.Counter("mmm_fleet_lease_grants_total",
 			"Job leases granted to workers."),
 		leaseExpiries: r.Counter("mmm_fleet_lease_expiries_total",
-			"Leases lost to missed heartbeats and reaped."),
+			"Leases lost: the worker's response went silent or ended without a result."),
 		leaseReassign: r.Counter("mmm_fleet_lease_reassignments_total",
 			"Lease grants that retried a previously attempted job."),
 		jobsCompleted: r.Counter("mmm_fleet_jobs_completed_total",
@@ -38,7 +38,7 @@ func NewFleetObs(r *obs.Registry) *FleetObs {
 		jobsFailed: r.Counter("mmm_fleet_jobs_failed_total",
 			"Job completions that reported an error."),
 		jobSeconds: r.Histogram("mmm_fleet_job_seconds",
-			"Wall time from lease grant to completion.", nil),
+			"Wall time from lease grant to completion."),
 		lastSeen: make(map[string]time.Time),
 	}
 	r.RegisterCollector(func(emit func(obs.Sample)) {
@@ -78,7 +78,7 @@ func (f *FleetObs) LeaseGranted(worker string, reassigned bool) {
 	f.seen(worker)
 }
 
-// Heartbeat records a worker extending a lease.
+// Heartbeat records a keepalive from a worker running a job.
 func (f *FleetObs) Heartbeat(worker string) {
 	if f == nil {
 		return
@@ -100,8 +100,9 @@ func (f *FleetObs) JobCompleted(worker string, d time.Duration, failed bool) {
 	f.seen(worker)
 }
 
-// LeaseExpired records a lease reaped after missed heartbeats.
-func (f *FleetObs) LeaseExpired(worker string) {
+// LeaseLost records a lease whose worker went silent or ended its
+// response without a result.
+func (f *FleetObs) LeaseLost(worker string) {
 	if f == nil {
 		return
 	}

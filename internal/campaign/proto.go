@@ -1,32 +1,33 @@
 package campaign
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
-	"net"
+	"net/http"
 	"strings"
 
 	"repro/internal/api"
 	"repro/internal/sim"
 )
 
-// The distributed campaign protocol. A coordinator (Dispatcher) serves
-// a job board over HTTP; workers attach to it and then *pull*: each
-// worker leases one job at a time, heartbeats while simulating, and
-// completes with the canonical metrics payload plus the job's cache
-// key. The coordinator owns all campaign state — workers are stateless
-// between jobs, so losing one costs at most its in-flight leases,
-// which expire and are reassigned.
+// The distributed campaign protocol. A coordinator (Dispatcher) runs a
+// campaign's board with one pool goroutine per capacity slot of each
+// worker. Each goroutine takes a lease and *pushes* its job to its
+// worker as one request, whose response streams a keepalive newline
+// every third of the lease TTL while the job waits for a slot or
+// simulates, then one result line: the canonical metrics payload plus
+// the job's cache key, or an error. The coordinator owns all campaign
+// state and opens every connection; a worker is stateless between jobs
+// and never dials anyone, so losing one costs at most its in-flight
+// leases, which the coordinator reassigns.
 //
-// Board endpoints (served by the coordinator, called by workers):
+// Worker endpoints (mmmd -worker adds GET /metrics):
 //
-//	POST /lease     -> api.LeaseResponse | 204 (nothing to hand out) | 410 (board over)
-//	POST /heartbeat -> 200 (extended) | 410 (lease revoked or board over)
-//	POST /complete  -> 200 | 410 (lease revoked; result discarded)
-//
-// Worker endpoints (served by the worker, called by coordinators;
-// mmmd -worker adds GET /metrics):
-//
-//	POST /v1/attach -> api.AttachResponse | 409 (incompatible build)
+//	GET  /v1/worker -> api.WorkerInfo (name, capacity, check token)
+//	POST /v1/run    -> 200, keepalive newlines, one api.RunResult line
+//	                 | 400, 413 (bad body) | 409 (incompatible build)
+//	                 | 503 (worker stopped)
 //	GET  /healthz
 //
 // protoVersion gates the wire format; protocolCheck() additionally
@@ -35,21 +36,22 @@ import (
 // refuse to mix — a silent mix would break the byte-identical
 // determinism guarantee of sharded campaigns.
 //
-// v2: the wire bodies are the typed internal/api structs, wave jobs
-// (Knobs.Wave/TrialOffset) exist on the wire, and the worker's attach
-// endpoint is POST /v1/attach. A v1 peer would run wave jobs as plain
-// batches — silently wrong trials — so mixed fleets are refused.
-const protoVersion = 2
+// v2: the wire bodies are the typed internal/api structs and wave jobs
+// (Knobs.Wave/TrialOffset) exist on the wire. v3: the coordinator
+// pushes jobs (GET /v1/worker, POST /v1/run); the attach endpoint and
+// the coordinator's per-campaign lease board are gone, so a v2 peer
+// cannot take part.
+const protoVersion = 3
 
-// protocolCheck is the compatibility token exchanged at attach and
-// lease time.
+// protocolCheck is the compatibility token a worker reports and every
+// run request carries.
 func protocolCheck() string {
 	return fmt.Sprintf("p%d.s%d.%s", protoVersion, api.SpecVersion, sim.StreamCheck())
 }
 
 // explainCheckMismatch names WHICH component of two protocolCheck
 // tokens disagrees — the wire protoVersion, the campaign SpecVersion,
-// or the RNG stream digest — so a refused attach/lease says what to
+// or the RNG stream digest — so a refusal says what to
 // upgrade instead of dumping two opaque tokens. Unparseable tokens
 // (e.g. from a build predating the format) fall back to quoting both.
 func explainCheckMismatch(ours, theirs string) string {
@@ -92,25 +94,6 @@ func NormalizeWorkerURL(s string) string {
 	return "http://" + s
 }
 
-// CoordinatorAddr resolves a -coordinator flag into a job-board
-// listen address. The board's advertised URL is derived from the
-// bound listener, so the flag's host decides what workers are told to
-// dial: "" keeps the loopback default (single-machine fleets), a bare
-// host (including an IPv6 literal like "2001:db8::1") binds that
-// interface with an ephemeral port — the right form for cross-host
-// fleets, where concurrent campaigns each get their own port — and an
-// explicit "host:port" / "[v6]:port" is used verbatim.
-func CoordinatorAddr(s string) string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return "127.0.0.1:0"
-	}
-	if _, _, err := net.SplitHostPort(s); err == nil {
-		return s
-	}
-	return net.JoinHostPort(s, "0")
-}
-
 // ParseWorkerList splits a comma-separated -workers flag into worker
 // base URLs, dropping empty elements.
 func ParseWorkerList(s string) []string {
@@ -121,4 +104,50 @@ func ParseWorkerList(s string) []string {
 		}
 	}
 	return out
+}
+
+// writeJSONTo and httpErrorJSON are the worker's JSON helpers
+// (cmd/mmmd has its own; these keep internal/campaign self-contained).
+func writeJSONTo(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+func httpErrorJSON(w http.ResponseWriter, code int, format string, args ...any) {
+	writeJSONTo(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// Fleet bodies are bounded, so a peer cannot make a worker or the
+// coordinator decode an arbitrarily large one. A run request is a few
+// hundred bytes.
+const maxControlBody = 16 << 10
+
+// maxCompletionBody caps one line of a run response, the one fleet
+// body that carries a job's Metrics. A result line is the encoded
+// Metrics plus about 100 bytes. Measured on apache at seed 1, the
+// largest Metrics of every registered campaign at quick scale was 1,559
+// bytes, of the full-scale reliability campaign 1,680 bytes, and of a
+// quick reliability campaign at 384 trials per cell (the nightly
+// fixed-batch run) 2,551 bytes: a reliability batch grows by its
+// detection latencies, about 5 bytes per detected fault. 1 MiB is over
+// 300 times the largest.
+const maxCompletionBody = 1 << 20
+
+// decodeBody decodes req's JSON body into v, reading at most limit
+// bytes. A longer body answers 413 and any other decode error 400, both
+// naming what the body was; decodeBody reports whether v holds the
+// request.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpErrorJSON(w, http.StatusRequestEntityTooLarge, "%s body over %d bytes", what, limit)
+		return false
+	}
+	httpErrorJSON(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	return false
 }

@@ -6,16 +6,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -27,7 +31,6 @@ func startWorker(t *testing.T, name string, capacity int, cache Cache) (*Worker,
 		Name:     name,
 		Capacity: capacity,
 		Cache:    cache,
-		Poll:     5 * time.Millisecond,
 	})
 	ts := httptest.NewServer(w.Handler())
 	t.Cleanup(func() {
@@ -116,9 +119,39 @@ func TestDistributedSharesCacheWithLocal(t *testing.T) {
 	}
 }
 
-// stopOnLease stops w as soon as the run's journal records a lease
-// granted to it, so the worker dies holding that lease: its heartbeats
-// stop, and the board must expire the lease and reassign the job.
+// startVictim runs a fleet worker that dies holding its first lease:
+// its server stops the worker as soon as the header of its first run
+// response has gone out, so the coordinator has granted the lease and
+// the response then ends without a result — however fast the job is.
+func startVictim(t *testing.T, name string, capacity int) (*Worker, *httptest.Server) {
+	t.Helper()
+	w := NewWorker(WorkerOptions{Name: name, Capacity: capacity})
+	var once sync.Once
+	h := w.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		h.ServeHTTP(stopOnFlush{rw, func() { once.Do(w.Stop) }}, req)
+	}))
+	t.Cleanup(func() {
+		w.Stop()
+		ts.Close()
+	})
+	return w, ts
+}
+
+// stopOnFlush calls stop once it has flushed what was written.
+type stopOnFlush struct {
+	http.ResponseWriter
+	stop func()
+}
+
+func (s stopOnFlush) Flush() {
+	if err := http.NewResponseController(s.ResponseWriter).Flush(); err == nil {
+		s.stop()
+	}
+}
+
+// stopOnLease waits until the run's journal records a lease granted to
+// w, then stops w: a victim from startVictim has died holding it.
 func stopOnLease(t *testing.T, j *Journal, w *Worker) {
 	t.Helper()
 	timeout := time.After(2 * time.Minute)
@@ -141,14 +174,14 @@ func stopOnLease(t *testing.T, j *Journal, w *Worker) {
 }
 
 // TestWorkerKilledMidLeaseReassigns: killing a worker that holds
-// leases must not lose or corrupt the campaign — its leases expire
+// leases must not lose or corrupt the campaign — its leases are lost
 // and the surviving worker finishes everything, byte-identical to a
 // local run.
 func TestWorkerKilledMidLeaseReassigns(t *testing.T) {
 	jobs := determinismJobs(t)
 	local, _ := runRows(t, New(Options{Parallel: 2}), jobs)
 
-	victim, ts1 := startWorker(t, "victim", 2, nil)
+	victim, ts1 := startVictim(t, "victim", 2)
 	_, ts2 := startWorker(t, "survivor", 2, nil)
 
 	j, err := NewJournal("kill", "")
@@ -176,9 +209,9 @@ func TestWorkerKilledMidLeaseReassigns(t *testing.T) {
 		res <- outcome{buf.Bytes(), err}
 	}()
 
-	// Kill the victim once it holds a lease: its pull loops stop,
-	// in-flight results are abandoned (never completed), and the board
-	// reassigns the expired leases to the survivor.
+	// Kill the victim once it holds a lease: its in-flight responses
+	// end without a result, and the board reassigns the lost leases to
+	// the survivor.
 	stopOnLease(t, j, victim)
 
 	select {
@@ -199,10 +232,18 @@ func TestWorkerKilledMidLeaseReassigns(t *testing.T) {
 
 // TestCancelMidDispatchRevokesLeases: cancelling a distributed
 // campaign revokes every outstanding lease before Run returns — no
-// orphans — and the attached workers detach instead of spinning.
+// orphans — and aborts the requests it had in flight, so the worker
+// stops serving the cancelled run instead of finishing its jobs.
 func TestCancelMidDispatchRevokesLeases(t *testing.T) {
 	jobs := determinismJobs(t)
-	w1, ts1 := startWorker(t, "w1", 2, nil)
+	w1, _ := startWorker(t, "w1", 2, nil)
+	var serving atomic.Int64
+	ts1 := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		serving.Add(1)
+		defer serving.Add(-1)
+		w1.Handler().ServeHTTP(rw, req)
+	}))
+	t.Cleanup(ts1.Close)
 
 	started := make(chan struct{})
 	var once bool
@@ -236,17 +277,16 @@ func TestCancelMidDispatchRevokesLeases(t *testing.T) {
 		t.Fatalf("cancelled dispatch returned %v, want context.Canceled", err)
 	}
 
-	// The worker must detach (board gone) rather than poll forever.
+	// The worker must see its requests end (run abandoned) rather than
+	// keep serving a cancelled board.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		w1.mu.Lock()
-		n := len(w1.attachments)
-		w1.mu.Unlock()
+		n := serving.Load()
 		if n == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("worker still attached to a cancelled board (%d attachments)", n)
+			t.Fatalf("worker still serving %d requests of a cancelled run", n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -397,244 +437,6 @@ func TestFailureAndCancellationEndRuns(t *testing.T) {
 	}
 }
 
-// boardFixture serves a bare board over httptest so protocol-level
-// behavior can be pinned without a dispatcher in the way.
-func boardFixture(t *testing.T, jobs []Job, ttl time.Duration, maxInflight int) (*board, *httptest.Server) {
-	t.Helper()
-	b := newBoard(fixedPlan(microScale(), jobs), boardOptions{ttl: ttl, maxInflight: maxInflight, maxAttempts: 3})
-	ts := httptest.NewServer(b.handler())
-	t.Cleanup(ts.Close)
-	return b, ts
-}
-
-func postJSON(t *testing.T, url string, in any) (int, []byte) {
-	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, buf.Bytes()
-}
-
-// TestBoardLeaseProtocol pins the board's wire behavior: leases carry
-// the coordinator's seed/fingerprint derivations, incompatible
-// workers are refused, the in-flight cap holds, and revoked leases
-// answer 410 to heartbeat and complete.
-func TestBoardLeaseProtocol(t *testing.T) {
-	jobs := determinismJobs(t)
-	b, ts := boardFixture(t, jobs, time.Minute, 2)
-
-	// Incompatible build: refused outright.
-	code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "bad", Check: "p0.s0.dead"})
-	if code != http.StatusConflict {
-		t.Fatalf("incompatible lease: %d %s, want 409", code, body)
-	}
-
-	lease1 := api.LeaseResponse{}
-	code, body = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()})
-	if code != http.StatusOK {
-		t.Fatalf("lease: %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &lease1); err != nil {
-		t.Fatal(err)
-	}
-	if lease1.Job != jobs[0] {
-		t.Fatalf("lease handed out %+v, want first pending job %+v", lease1.Job, jobs[0])
-	}
-	if lease1.SimSeed != jobs[0].SimSeed() || lease1.Fingerprint != jobs[0].Fingerprint(microScale()) {
-		t.Fatalf("lease derivations wrong: %+v", lease1)
-	}
-
-	// In-flight cap: a third concurrent lease is denied.
-	if code, _ = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()}); code != http.StatusOK {
-		t.Fatalf("second lease: %d", code)
-	}
-	if code, _ = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()}); code != http.StatusNoContent {
-		t.Fatalf("lease beyond MaxInflight: %d, want 204", code)
-	}
-
-	// Heartbeat keeps a live lease; after close both heartbeat and
-	// complete get 410 and the late result is discarded.
-	if code, _ = postJSON(t, ts.URL+"/heartbeat", api.HeartbeatRequest{LeaseID: lease1.LeaseID}); code != http.StatusOK {
-		t.Fatalf("heartbeat: %d", code)
-	}
-	b.close(nil)
-	if got := b.liveLeases(); got != 0 {
-		t.Fatalf("%d orphaned leases after close, want 0", got)
-	}
-	if code, _ = postJSON(t, ts.URL+"/heartbeat", api.HeartbeatRequest{LeaseID: lease1.LeaseID}); code != http.StatusGone {
-		t.Fatalf("heartbeat after close: %d, want 410", code)
-	}
-	code, _ = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
-		LeaseID:     lease1.LeaseID,
-		Worker:      "w1",
-		Fingerprint: lease1.Fingerprint,
-		Metrics:     &core.Metrics{},
-	})
-	if code != http.StatusGone {
-		t.Fatalf("complete after close: %d, want 410", code)
-	}
-	if got := boardDone(b); got != 0 {
-		t.Fatalf("revoked completion was counted: done=%d", got)
-	}
-}
-
-// boardDone reads b.done under its lock.
-func boardDone(b *board) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.done
-}
-
-// TestBoardExpiryReassignsAndBacksOff: a lease whose worker goes
-// silent expires, the job returns to the queue, and the silent worker
-// is denied leases while it backs off.
-func TestBoardExpiryReassignsAndBacksOff(t *testing.T) {
-	jobs := determinismJobs(t)[:1]
-	b, ts := boardFixture(t, jobs, 50*time.Millisecond, 4)
-
-	var lr api.LeaseResponse
-	code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "silent", Check: protocolCheck()})
-	if code != http.StatusOK || json.Unmarshal(body, &lr) != nil {
-		t.Fatalf("lease: %d %s", code, body)
-	}
-
-	// No heartbeat: reap past the TTL.
-	b.reap(time.Now().Add(time.Second))
-	if got := b.liveLeases(); got != 0 {
-		t.Fatalf("expired lease still live: %d", got)
-	}
-
-	// The silent worker is backing off; a healthy worker picks the
-	// requeued job up again.
-	if code, _ = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "silent", Check: protocolCheck()}); code != http.StatusNoContent {
-		t.Fatalf("backed-off worker got a lease: %d, want 204", code)
-	}
-	var lr2 api.LeaseResponse
-	code, body = postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "healthy", Check: protocolCheck()})
-	if code != http.StatusOK || json.Unmarshal(body, &lr2) != nil {
-		t.Fatalf("reassigned lease: %d %s", code, body)
-	}
-	if lr2.Job != lr.Job {
-		t.Fatalf("reassigned job %+v, want the expired one %+v", lr2.Job, lr.Job)
-	}
-
-	// A late complete on the expired lease is rejected and the
-	// reassigned holder's result is the one that counts.
-	code, _ = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
-		LeaseID: lr.LeaseID, Worker: "silent", Fingerprint: lr.Fingerprint,
-		Metrics: &core.Metrics{},
-	})
-	if code != http.StatusGone {
-		t.Fatalf("late complete on expired lease: %d, want 410", code)
-	}
-	code, _ = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
-		LeaseID: lr2.LeaseID, Worker: "healthy", Fingerprint: lr2.Fingerprint,
-		Metrics: &core.Metrics{},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("reassigned complete: %d", code)
-	}
-	if got := boardDone(b); got != 1 {
-		t.Fatalf("done=%d after reassigned completion, want 1", got)
-	}
-}
-
-// TestBoardAttemptBudgetFailsCampaign: a job that keeps erroring
-// exhausts its attempt budget and fails the whole campaign with the
-// underlying error, like a local run would.
-func TestBoardAttemptBudgetFailsCampaign(t *testing.T) {
-	jobs := determinismJobs(t)[:1]
-	b, ts := boardFixture(t, jobs, time.Minute, 4)
-
-	for i := 0; i < 3; i++ {
-		var lr api.LeaseResponse
-		code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "flaky", Check: protocolCheck()})
-		if code == http.StatusNoContent {
-			// The flaky worker is backing off between failures; lease from
-			// a fresh name — the job itself must still be retried.
-			code, body = postJSON(t, ts.URL+"/lease",
-				api.LeaseRequest{Worker: fmt.Sprintf("fresh%d", i), Check: protocolCheck()})
-		}
-		if code != http.StatusOK || json.Unmarshal(body, &lr) != nil {
-			t.Fatalf("attempt %d lease: %d %s", i, code, body)
-		}
-		postJSON(t, ts.URL+"/complete", api.CompleteRequest{
-			LeaseID: lr.LeaseID, Worker: lr.Job.Workload, Error: "sim exploded",
-		})
-	}
-	if err := b.wait(); err == nil || !strings.Contains(err.Error(), "sim exploded") {
-		t.Fatalf("board error %v, want the job's error after 3 attempts", err)
-	}
-}
-
-// TestWorkerRefusesIncompatibleCoordinator: the attach handshake
-// rejects a coordinator whose simulator build disagrees, protecting
-// fleet-wide determinism.
-func TestWorkerRefusesIncompatibleCoordinator(t *testing.T) {
-	w, ts := startWorker(t, "w1", 1, nil)
-	body, _ := json.Marshal(api.AttachRequest{Coordinator: "http://127.0.0.1:1", Check: "p1.s1.beef"})
-	resp, err := http.Post(ts.URL+"/v1/attach", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("incompatible attach: %d, want 409", resp.StatusCode)
-	}
-	if err := w.Attach("", protocolCheck()); err == nil {
-		t.Fatal("attach without coordinator URL accepted")
-	}
-}
-
-// TestStallDetectionFailsDeadFleet: a fleet that accepts the attach
-// invitation and then goes completely silent must fail the campaign
-// instead of wedging it in "running" forever.
-func TestStallDetectionFailsDeadFleet(t *testing.T) {
-	zombie := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSONTo(w, http.StatusOK, api.AttachResponse{Worker: "zombie", Capacity: 1})
-	}))
-	t.Cleanup(zombie.Close)
-
-	d := NewDispatcher(DispatchOptions{
-		Workers:      []string{zombie.URL},
-		LeaseTTL:     100 * time.Millisecond,
-		StallTimeout: 300 * time.Millisecond,
-	})
-	_, err := d.RunSpec(context.Background(), microScale(), Spec{Jobs: determinismJobs(t)})
-	if err == nil || !strings.Contains(err.Error(), "fleet lost") {
-		t.Fatalf("dead fleet returned %v, want fleet-lost error", err)
-	}
-}
-
-// TestCoordinatorAddr covers the -coordinator flag forms.
-func TestCoordinatorAddr(t *testing.T) {
-	for in, want := range map[string]string{
-		"":                 "127.0.0.1:0",
-		"  ":               "127.0.0.1:0",
-		"10.1.2.3":         "10.1.2.3:0",
-		"10.1.2.3:18077":   "10.1.2.3:18077",
-		"coord.internal":   "coord.internal:0",
-		":18077":           ":18077",
-		"::1":              "[::1]:0",
-		"2001:db8::1":      "[2001:db8::1]:0",
-		"[2001:db8::1]:80": "[2001:db8::1]:80",
-	} {
-		if got := CoordinatorAddr(in); got != want {
-			t.Errorf("CoordinatorAddr(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // TestParseWorkerList covers the -workers flag forms.
 func TestParseWorkerList(t *testing.T) {
 	got := ParseWorkerList(" node1:8078, http://node2:9000/ ,,https://node3 ")
@@ -652,152 +454,587 @@ func TestParseWorkerList(t *testing.T) {
 	}
 }
 
-// postRaw posts body verbatim and returns the status code.
-func postRaw(t *testing.T, url string, body []byte) int {
+// runRequest is the request a coordinator pushes for job at sc, with
+// a 30 ms TTL: a keepalive every 10 ms.
+func runRequest(job Job, sc Scale) api.RunRequest {
+	return api.RunRequest{
+		Check:       protocolCheck(),
+		Job:         job,
+		Scale:       sc,
+		SimSeed:     job.SimSeed(),
+		Fingerprint: job.Fingerprint(sc),
+		TTLMS:       30,
+	}
+}
+
+// postRun pushes body to a worker's POST /v1/run and reads the whole
+// response.
+func postRun(t *testing.T, url string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+api.PathPrefix+"/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// runResultOf splits a 200 run response into its keepalive count and
+// its one result line, failing the test unless the response is exactly
+// keepalives and then one decodable result line.
+func runResultOf(tb testing.TB, body []byte) (keepalives int, res api.RunResult) {
+	tb.Helper()
+	keepalives = len(body) - len(bytes.TrimLeft(body, "\n"))
+	line := body[keepalives:]
+	if len(line) == 0 || bytes.IndexByte(line, '\n') != len(line)-1 {
+		tb.Fatalf("run response is not keepalives then one result line: %q", body)
+	}
+	if err := json.Unmarshal(line, &res); err != nil {
+		tb.Fatalf("result line %q: %v", line, err)
+	}
+	return keepalives, res
+}
+
+func mustJSON(tb testing.TB, v any) []byte {
+	tb.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// TestFleetRunProtocol pins the worker's wire behavior: GET /v1/worker
+// names the worker, its capacity and its check token; a pushed job is
+// answered 200 with the canonical metrics and the job's cache key; a
+// request whose derived seed or fingerprint disagrees with the job is
+// answered with the worker's error, not a simulation; a stopped worker
+// refuses jobs.
+func TestFleetRunProtocol(t *testing.T) {
+	job := determinismJobs(t)[0]
+	sc := microScale()
+	w, ts := startWorker(t, "w1", 3, nil)
+
+	resp, err := http.Get(ts.URL + api.PathPrefix + "/worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info api.WorkerInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
 	resp.Body.Close()
-	return resp.StatusCode
-}
-
-// TestFleetBodiesBounded: a lease, heartbeat, completion or attach body
-// past its cap answers 413 and changes nothing — no lease granted, no
-// lease ended, no attachment — while a real completion still merges.
-func TestFleetBodiesBounded(t *testing.T) {
-	jobs := determinismJobs(t)[:1]
-	b, ts := boardFixture(t, jobs, time.Minute, 2)
-	pad := strings.Repeat("x", maxControlBody)
-
-	big, _ := json.Marshal(api.LeaseRequest{Worker: pad, Check: protocolCheck()})
-	if code := postRaw(t, ts.URL+"/lease", big); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized lease: %d, want 413", code)
-	}
-	if got := b.liveLeases(); got != 0 {
-		t.Fatalf("oversized lease request granted %d leases", got)
+	if err != nil || info != (api.WorkerInfo{Worker: "w1", Capacity: 3, Check: protocolCheck()}) {
+		t.Fatalf("GET /v1/worker: %+v, %v", info, err)
 	}
 
-	var lr api.LeaseResponse
-	code, body := postJSON(t, ts.URL+"/lease", api.LeaseRequest{Worker: "w1", Check: protocolCheck()})
-	if code != http.StatusOK || json.Unmarshal(body, &lr) != nil {
-		t.Fatalf("lease: %d %s", code, body)
-	}
-	big, _ = json.Marshal(api.HeartbeatRequest{LeaseID: lr.LeaseID + pad})
-	if code := postRaw(t, ts.URL+"/heartbeat", big); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized heartbeat: %d, want 413", code)
-	}
-	big, _ = json.Marshal(api.CompleteRequest{
-		LeaseID: lr.LeaseID, Worker: "w1", Fingerprint: lr.Fingerprint,
-		Metrics: &core.Metrics{Kind: lr.Job.Kind, Workload: strings.Repeat("x", maxCompletionBody)},
-	})
-	if code := postRaw(t, ts.URL+"/complete", big); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized completion: %d, want 413", code)
-	}
-	if live, done := b.liveLeases(), boardDone(b); live != 1 || done != 0 {
-		t.Fatalf("after oversized bodies: %d live leases, %d done; want the lease live and nothing done", live, done)
-	}
-
-	m, err := runJob(lr.Scale, lr.Job, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, body = postJSON(t, ts.URL+"/complete", api.CompleteRequest{
-		LeaseID: lr.LeaseID, Worker: "w1", Fingerprint: lr.Fingerprint, Metrics: &m,
-	})
+	code, body := postRun(t, ts.URL, mustJSON(t, runRequest(job, sc)))
 	if code != http.StatusOK {
-		t.Fatalf("real completion: %d %s", code, body)
+		t.Fatalf("run: %d %s", code, body)
 	}
-	rs, err := b.result(context.Background(), time.Now())
+	want, err := runJob(sc, job, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Results) != 1 || rs.Results[0].Metrics.Cycles != m.Cycles || rs.Results[0].Metrics.Core != m.Core {
-		t.Fatalf("merged result %+v, want the completed metrics", rs.Results)
+	if _, res := runResultOf(t, body); res.Error != "" || res.Fingerprint != job.Fingerprint(sc) ||
+		res.Metrics == nil || !bytes.Equal(mustJSON(t, res.Metrics), mustJSON(t, want)) {
+		t.Fatalf("run result %+v, want the job's metrics under its fingerprint", res)
 	}
 
-	w, wts := startWorker(t, "w1", 1, nil)
-	big, _ = json.Marshal(api.AttachRequest{Coordinator: ts.URL + "/" + pad, Check: protocolCheck()})
-	if code := postRaw(t, wts.URL+"/v1/attach", big); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized attach: %d, want 413", code)
+	seed := runRequest(job, sc)
+	seed.SimSeed++
+	fp := runRequest(job, sc)
+	fp.Fingerprint = strings.Repeat("0", 64)
+	for _, tc := range []struct {
+		req  api.RunRequest
+		want string
+	}{{seed, "derived-seed mismatch"}, {fp, "fingerprint mismatch"}} {
+		code, body := postRun(t, ts.URL, mustJSON(t, tc.req))
+		if code != http.StatusOK {
+			t.Fatalf("run: %d %s", code, body)
+		}
+		if _, res := runResultOf(t, body); res.Metrics != nil || !strings.Contains(res.Error, tc.want) {
+			t.Fatalf("run result %+v, want error %q", res, tc.want)
+		}
 	}
-	if st := w.Stats(); st.Attachments != 0 || st.AttachTotal != 0 {
-		t.Fatalf("oversized attach attached the worker: %+v", st)
+	if st := w.Stats(); st.JobsDone != 1 || st.JobsFailed != 2 || st.LeasesLost != 0 {
+		t.Fatalf("worker counters %+v, want 1 done, 2 failed", st)
+	}
+
+	w.Stop()
+	if code, body := postRun(t, ts.URL, mustJSON(t, runRequest(job, sc))); code != http.StatusServiceUnavailable {
+		t.Fatalf("run on a stopped worker: %d %s, want 503", code, body)
 	}
 }
 
-// FuzzFleetBodies: any body a fleet peer posts to the board's lease,
-// heartbeat or complete endpoint or the worker's attach endpoint is
-// answered with a protocol status and never panics; afterwards the
-// board's in-flight count equals its live leases, the fleet metrics
-// page (whose worker label the peer names) parses, and a refused
-// attach leaves the worker unattached. The first byte picks the
-// endpoint. The board holds one live lease, l1 for w1, so heartbeats
-// and completions can reach it. The worker is stopped: an attach the
-// check accepts is refused too, so no pull loop dials a fuzzed
-// coordinator URL.
+// TestWorkerRefusesIncompatibleCoordinator: a job pushed by a
+// coordinator whose simulator build disagrees is refused with 409
+// naming the component, before anything runs — fleet-wide determinism
+// depends on it.
+func TestWorkerRefusesIncompatibleCoordinator(t *testing.T) {
+	w, ts := startWorker(t, "w1", 1, nil)
+	req := runRequest(determinismJobs(t)[0], microScale())
+	req.Check = "p1.s1.beef"
+	code, body := postRun(t, ts.URL, mustJSON(t, req))
+	if code != http.StatusConflict || !bytes.Contains(body, []byte("wire protocol version mismatch")) {
+		t.Fatalf("incompatible run: %d %s, want 409 naming the protocol version", code, body)
+	}
+	if st := w.Stats(); st.JobsDone+st.JobsFailed+st.LeasesLost != 0 {
+		t.Fatalf("refused job ran: %+v", st)
+	}
+}
+
+// fakeWorker serves GET /v1/worker for a worker named name with one
+// capacity slot, and hands each POST /v1/run to run with its 1-based
+// request number.
+func fakeWorker(t *testing.T, name string, run func(n int, rw http.ResponseWriter, req *http.Request)) *httptest.Server {
+	t.Helper()
+	var n atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+api.PathPrefix+"/worker", func(rw http.ResponseWriter, _ *http.Request) {
+		writeJSONTo(rw, http.StatusOK, api.WorkerInfo{Worker: name, Capacity: 1, Check: protocolCheck()})
+	})
+	mux.HandleFunc("POST "+api.PathPrefix+"/run", func(rw http.ResponseWriter, req *http.Request) {
+		run(int(n.Add(1)), rw, req)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// acceptRun answers a run request 200 and flushes the header, as a worker
+// does once it has checked the request.
+func acceptRun(rw http.ResponseWriter) {
+	rw.WriteHeader(http.StatusOK)
+	_ = http.NewResponseController(rw).Flush()
+}
+
+// TestFleetLostLeaseReassignsAndBacksOff: a job the worker accepted
+// and then lost — its response ended without a result, or went silent
+// past the lease TTL — spends an attempt, is journaled as
+// heartbeat_missed and reassigned, and the worker backs off (0.5 s,
+// then 1 s) before its next lease. The third attempt runs on a real
+// worker and the rows equal a local run's.
+func TestFleetLostLeaseReassignsAndBacksOff(t *testing.T) {
+	jobs := determinismJobs(t)[:1]
+	local, _ := runRows(t, New(Options{Parallel: 1}), jobs)
+	const ttl = 500 * time.Millisecond
+	real, _ := startWorker(t, "real", 1, nil)
+	var (
+		mu         sync.Mutex
+		begun, end []time.Time
+	)
+	ts := fakeWorker(t, "flaky", func(n int, rw http.ResponseWriter, req *http.Request) {
+		mu.Lock()
+		begun = append(begun, time.Now())
+		mu.Unlock()
+		defer func() {
+			mu.Lock()
+			end = append(end, time.Now())
+			mu.Unlock()
+		}()
+		switch n {
+		case 1: // ends without a result
+			acceptRun(rw)
+		case 2: // goes silent
+			acceptRun(rw)
+			<-req.Context().Done()
+		default:
+			real.Handler().ServeHTTP(rw, req)
+		}
+	})
+	j, err := NewJournal("lost", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	d := NewDispatcher(DispatchOptions{Workers: []string{ts.URL}, LeaseTTL: ttl, Journal: j, Obs: NewFleetObs(reg)})
+	rows, _ := runRows(t, d, jobs)
+	j.Finish(nil)
+	if !bytes.Equal(local, rows) {
+		t.Fatalf("run after lost leases diverges:\nlocal: %s\nfleet: %s", local, rows)
+	}
+
+	types := journalTypes(j.Events())
+	if types[EventHeartbeatMissed] != 2 || types[EventReassigned] != 2 || types[EventLeased] != 3 || types[EventFailed] != 0 {
+		t.Fatalf("journal %v, want 2 lost leases, 2 reassignments, 3 leases, no failure", types)
+	}
+	snap := reg.Snapshot()
+	if snap["mmm_fleet_lease_expiries_total"] != 2 || snap["mmm_fleet_lease_reassignments_total"] != 2 {
+		t.Fatalf("fleet counters: %v lost, %v reassigned; want 2 and 2",
+			snap["mmm_fleet_lease_expiries_total"], snap["mmm_fleet_lease_reassignments_total"])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(begun) != 3 {
+		t.Fatalf("%d run requests, want 3", len(begun))
+	}
+	if silent := end[1].Sub(begun[1]); silent < ttl {
+		t.Errorf("silent response dropped after %v, before the %v TTL", silent, ttl)
+	}
+	for i, want := range []time.Duration{backoffBase, 2 * backoffBase} {
+		if gap := begun[i+1].Sub(end[i]); gap < want {
+			t.Errorf("request %d came %v after lost lease %d, want a backoff of at least %v", i+2, gap, i+1, want)
+		}
+	}
+}
+
+// TestFleetAttemptBudgetFailsCampaign: a job whose worker keeps
+// reporting an error — its own, or a result under another fingerprint
+// — is journaled as failed on each attempt, never cached, and fails the
+// whole campaign with the error after three attempts, like a local run
+// would.
+func TestFleetAttemptBudgetFailsCampaign(t *testing.T) {
+	jobs := determinismJobs(t)[:1]
+	ts := fakeWorker(t, "flaky", func(n int, rw http.ResponseWriter, _ *http.Request) {
+		acceptRun(rw)
+		res := api.RunResult{Fingerprint: jobs[0].Fingerprint(microScale()), Error: "sim exploded"}
+		if n == 2 {
+			res = api.RunResult{Fingerprint: "other", Metrics: &core.Metrics{}}
+		}
+		_ = json.NewEncoder(rw).Encode(res)
+	})
+	counting := NewCountingCache(NewMemCache())
+	j, err := NewJournal("budget", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(DispatchOptions{Workers: []string{ts.URL}, Cache: counting, Journal: j})
+	_, err = d.RunSpec(context.Background(), microScale(), Spec{Jobs: jobs})
+	if err == nil || !strings.Contains(err.Error(), "sim exploded") {
+		t.Fatalf("run error %v, want the job's error after 3 attempts", err)
+	}
+	if _, _, puts := counting.Stats(); puts != 0 {
+		t.Fatalf("a failed attempt reached the cache (%d puts)", puts)
+	}
+	var failed []string
+	for _, ev := range j.Events() {
+		if ev.Type == EventFailed {
+			failed = append(failed, ev.Error)
+		}
+	}
+	if len(failed) != 3 || !strings.Contains(failed[1], "fingerprint mismatch") {
+		t.Fatalf("journaled failures %q, want 3 with the second a fingerprint mismatch", failed)
+	}
+}
+
+// TestFleetRefusalNamesComponent: a worker whose build disagrees is
+// refused at GET /v1/worker, before any job is pushed to it, and the
+// refusal names the component that differs.
+func TestFleetRefusalNamesComponent(t *testing.T) {
+	bad := fmt.Sprintf("p%d.s%d.%s", protoVersion, api.SpecVersion+1, sim.StreamCheck())
+	var runs atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+api.PathPrefix+"/worker", func(rw http.ResponseWriter, _ *http.Request) {
+		writeJSONTo(rw, http.StatusOK, api.WorkerInfo{Worker: "wx", Capacity: 1, Check: bad})
+	})
+	mux.HandleFunc("POST "+api.PathPrefix+"/run", func(http.ResponseWriter, *http.Request) { runs.Add(1) })
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	_, err := dispatcherFor(nil, time.Second, ts.URL).RunSpec(context.Background(), microScale(),
+		Spec{Jobs: determinismJobs(t)})
+	if err == nil || !strings.Contains(err.Error(), "campaign SpecVersion mismatch") {
+		t.Fatalf("incompatible worker: %v, want a refusal naming the SpecVersion", err)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("%d jobs pushed to an incompatible worker", n)
+	}
+}
+
+// TestFleetNeverFollowsRedirects: a worker that answers with a
+// redirect is refused like any other non-200 answer, so the
+// coordinator dials only the workers it was given.
+func TestFleetNeverFollowsRedirects(t *testing.T) {
+	var dialed atomic.Int64
+	sink := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { dialed.Add(1) }))
+	t.Cleanup(sink.Close)
+	redirect := httptest.NewServer(http.RedirectHandler(sink.URL+api.PathPrefix+"/worker", http.StatusTemporaryRedirect))
+	t.Cleanup(redirect.Close)
+	_, err := dispatcherFor(nil, time.Second, redirect.URL).RunSpec(context.Background(), microScale(),
+		Spec{Jobs: determinismJobs(t)[:1]})
+	if err == nil || !strings.Contains(err.Error(), "307") {
+		t.Fatalf("redirecting worker: %v, want it refused with its 307", err)
+	}
+	if n := dialed.Load(); n != 0 {
+		t.Fatalf("coordinator followed the redirect %d times", n)
+	}
+}
+
+// TestFleetDropsUnresponsiveWorkers: a worker that cannot be reached,
+// and one that never accepts a job, are dropped — the second after
+// errBudget refusals in a row, backing off between them — and once
+// every worker is dropped the run fails naming the last error, with no
+// lease journaled and no attempt spent.
+func TestFleetDropsUnresponsiveWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("backs off 7.5 s before the worker is dropped")
+	}
+	jobs := determinismJobs(t)
+	var runs atomic.Int64
+	zombie := fakeWorker(t, "zombie", func(n int, rw http.ResponseWriter, _ *http.Request) {
+		runs.Add(1)
+		httpErrorJSON(rw, http.StatusServiceUnavailable, "overloaded %d", n)
+	})
+	j, err := NewJournal("dead", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDispatcher(DispatchOptions{Workers: []string{"http://127.0.0.1:1", zombie.URL}, Journal: j})
+	_, err = d.RunSpec(context.Background(), microScale(), Spec{Jobs: jobs})
+	want := fmt.Sprintf("503 overloaded %d", errBudget)
+	if err == nil || !strings.Contains(err.Error(), "every worker dropped") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("dead fleet returned %v, want every worker dropped, naming %q", err, want)
+	}
+	if n := runs.Load(); n != errBudget {
+		t.Fatalf("zombie refused %d jobs before it was dropped, want %d", n, errBudget)
+	}
+	if types := journalTypes(j.Events()); types[EventLeased]+types[EventFailed]+types[EventHeartbeatMissed] != 0 {
+		t.Fatalf("refused jobs were journaled: %v", types)
+	}
+}
+
+// peakCache is a cache that serves every lookup from inner after a
+// short hold and records the most lookups it served at once: a worker
+// looks a job up in its slot, so the peak is the worker's concurrency.
+type peakCache struct {
+	inner     Cache
+	hold      time.Duration
+	now, peak atomic.Int64
+}
+
+func (c *peakCache) Get(fp string) (core.Metrics, bool) {
+	n := c.now.Add(1)
+	defer c.now.Add(-1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	time.Sleep(c.hold)
+	return c.inner.Get(fp)
+}
+
+func (c *peakCache) Put(fp string, m core.Metrics) error { return c.inner.Put(fp, m) }
+
+// TestFleetCapacityAcrossCoordinators: a worker never runs more than
+// Capacity jobs at once, however many coordinators push to it. The
+// extra jobs wait for a slot with their keepalives flowing.
+func TestFleetCapacityAcrossCoordinators(t *testing.T) {
+	jobs := determinismJobs(t)[:3]
+	sc := microScale()
+	cache := &peakCache{inner: warmCache(t, sc, jobs), hold: 100 * time.Millisecond}
+	w, ts := startWorker(t, "w1", 1, cache)
+	var wg sync.WaitGroup
+	keepalives := make([]int, len(jobs))
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := postRun(t, ts.URL, mustJSON(t, runRequest(job, sc)))
+			if code != http.StatusOK {
+				t.Errorf("run %d: %d %s", i, code, body)
+				return
+			}
+			var res api.RunResult
+			keepalives[i], res = runResultOf(t, body)
+			if res.Metrics == nil || res.Metrics.Cycles != warmMetrics(i, job).Cycles {
+				t.Errorf("run %d: result %+v, want its cached metrics", i, res)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := cache.peak.Load(); p != 1 {
+		t.Fatalf("worker of capacity 1 ran %d jobs at once", p)
+	}
+	// The last job in waited for two holds, 200 ms, at a keepalive
+	// every 10 ms.
+	if most := slices.Max(keepalives); most < 10 {
+		t.Fatalf("keepalives %v: the waiting jobs' responses went silent", keepalives)
+	}
+	if st := w.Stats(); st.JobsDone != uint64(len(jobs)) {
+		t.Fatalf("worker counters %+v, want %d done", st, len(jobs))
+	}
+}
+
+// TestFleetBodiesBounded: a run request past its cap answers 413 and
+// runs nothing, and the coordinator reads at most maxCompletionBody
+// bytes of a result line: a longer one is the worker's error, never a
+// result.
+func TestFleetBodiesBounded(t *testing.T) {
+	job := determinismJobs(t)[0]
+	sc := microScale()
+	w, ts := startWorker(t, "w1", 1, warmCache(t, sc, []Job{job}))
+	big := runRequest(job, sc)
+	big.Job.Variant = strings.Repeat("x", maxControlBody)
+	if code, body := postRun(t, ts.URL, mustJSON(t, big)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized run request: %d %s, want 413", code, body)
+	}
+	if st := w.Stats(); st.JobsDone+st.JobsFailed+st.LeasesLost != 0 {
+		t.Fatalf("oversized run request ran: %+v", st)
+	}
+
+	fp := job.Fingerprint(sc)
+	m := warmMetrics(0, job)
+	good := append([]byte("\n\n"), mustJSON(t, api.RunResult{Fingerprint: fp, Metrics: &m})...)
+	got, end, err := readRun(bytes.NewReader(append(good, '\n')), fp, func() {})
+	if end != runResult || err != nil || got.Cycles != m.Cycles {
+		t.Fatalf("readRun of a result: %v, %v, cycles %d", end, err, got.Cycles)
+	}
+	huge := &core.Metrics{Workload: strings.Repeat("x", maxCompletionBody)}
+	long := append(mustJSON(t, api.RunResult{Fingerprint: fp, Metrics: huge}), '\n')
+	src := &countingReader{r: bytes.NewReader(long)}
+	if _, end, err := readRun(src, fp, func() {}); end != runResult || err == nil ||
+		!strings.Contains(err.Error(), "over") {
+		t.Fatalf("readRun of an oversized result line: %v, %v; want the worker's error", end, err)
+	}
+	if src.n > maxCompletionBody+4096+1 {
+		t.Fatalf("readRun read %d bytes of an oversized line", src.n)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzFleetBodies: any body a coordinator pushes to a live worker's
+// POST /v1/run is answered with a status of the protocol and never
+// panics; a 200 response is keepalives and one result line. The worker
+// serves every body twice at once on its one slot and never runs both
+// at a time, holds no slot afterwards, and its metrics page parses.
+// The worker's cache holds the seed jobs, so an accepted body costs a
+// cache hit, not a simulation.
 func FuzzFleetBodies(f *testing.F) {
 	jobs := determinismJobs(f)[:2]
-	fp := jobs[0].Fingerprint(microScale())
-	check := protocolCheck()
-	for _, seed := range []struct {
-		route byte
-		body  any
-	}{
-		{0, api.LeaseRequest{Worker: "w2", Check: check}},
-		{0, api.LeaseRequest{Worker: "tab\there\u2028sep\"q\\", Check: check}},
-		{0, api.LeaseRequest{Worker: strings.Repeat("x", maxControlBody), Check: check}},
-		{1, api.HeartbeatRequest{LeaseID: "l1"}},
-		{2, api.CompleteRequest{LeaseID: "l1", Worker: "w1", Fingerprint: fp, Metrics: &core.Metrics{}}},
-		{2, api.CompleteRequest{LeaseID: "l1", Worker: "w1", Error: "boom"}},
-		{3, api.AttachRequest{Coordinator: "http://127.0.0.1:1", Check: check}},
+	sc := microScale()
+	for _, body := range []any{
+		runRequest(jobs[0], sc),
+		runRequest(jobs[1], sc),
+		func() api.RunRequest { r := runRequest(jobs[0], sc); r.Check = "p0.s0.dead"; return r }(),
+		func() api.RunRequest { r := runRequest(jobs[0], sc); r.SimSeed++; return r }(),
+		func() api.RunRequest { r := runRequest(jobs[0], sc); r.Fingerprint = "x"; return r }(),
+		func() api.RunRequest { r := runRequest(jobs[1], sc); r.TTLMS = -1; return r }(),
+		func() api.RunRequest {
+			r := runRequest(jobs[0], sc)
+			r.Job.Variant = strings.Repeat("x", maxControlBody)
+			return r
+		}(),
 	} {
-		body, err := json.Marshal(seed.body)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(append([]byte{seed.route}, body...))
+		f.Add(mustJSON(f, body))
 	}
-	w := NewWorker(WorkerOptions{Name: "fuzz"})
-	w.Stop()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
+	cache := &peakCache{inner: warmCache(f, sc, jobs)}
+	reg := obs.NewRegistry()
+	jobSeconds := reg.Histogram("job_seconds", "Simulated jobs.")
+	w := NewWorker(WorkerOptions{Name: "fuzz", Cache: cache,
+		OnJobTime: func(d time.Duration) { jobSeconds.Observe(d.Seconds()) }})
+	f.Cleanup(w.Stop)
+	reg.RegisterCollector(func(emit func(obs.Sample)) {
+		st := w.Stats()
+		for _, c := range []struct {
+			name string
+			v    uint64
+		}{{"jobs_done_total", st.JobsDone}, {"jobs_failed_total", st.JobsFailed}, {"leases_lost_total", st.LeasesLost}} {
+			emit(obs.Sample{Name: c.name, Type: "counter", Labels: []string{"worker", st.Name}, Value: float64(c.v)})
 		}
-		reg := obs.NewRegistry()
-		b := newBoard(fixedPlan(microScale(), jobs),
-			boardOptions{fleet: NewFleetObs(reg), ttl: time.Minute, maxInflight: 2, maxAttempts: 3})
-		b.mu.Lock()
-		b.leaseLocked("w1", time.Now())
-		b.mu.Unlock()
-		h, path := b.handler(), []string{"/lease", "/heartbeat", "/complete", api.PathPrefix + "/attach"}[data[0]%4]
-		if data[0]%4 == 3 {
-			h = w.Handler()
+	})
+	h := w.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var recs [2]*httptest.ResponseRecorder
+		var wg sync.WaitGroup
+		for i := range recs {
+			recs[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h.ServeHTTP(recs[i], httptest.NewRequest(http.MethodPost, api.PathPrefix+"/run", bytes.NewReader(body)))
+			}()
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data[1:])))
-		switch rec.Code {
-		case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusConflict,
-			http.StatusGone, http.StatusRequestEntityTooLarge:
-		default:
-			t.Fatalf("POST %s answered %d: %s", path, rec.Code, rec.Body)
+		wg.Wait()
+		for _, rec := range recs {
+			switch rec.Code {
+			case http.StatusOK:
+				runResultOf(t, rec.Body.Bytes())
+			case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			default:
+				t.Fatalf("POST /v1/run answered %d: %s", rec.Code, rec.Body)
+			}
 		}
-		b.mu.Lock()
-		inflight := b.inflight
-		b.mu.Unlock()
-		if live := b.liveLeases(); inflight != live {
-			t.Fatalf("POST %s: %d in flight, %d live leases", path, inflight, live)
+		if p := cache.peak.Load(); p > 1 {
+			t.Fatalf("worker of capacity 1 ran %d jobs at once", p)
+		}
+		if n := len(w.slots); n != cap(w.slots) {
+			t.Fatalf("%d of %d slots free after the runs ended", n, cap(w.slots))
 		}
 		var page bytes.Buffer
 		if err := reg.WritePrometheus(&page); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := obs.ParseExposition(&page); err != nil {
-			t.Fatalf("POST %s: metrics page refused: %v", path, err)
+			t.Fatalf("metrics page refused: %v", err)
 		}
-		if st := w.Stats(); st.Attachments != 0 || st.AttachTotal != 0 {
-			t.Fatalf("POST %s: refused attach left %+v", path, st)
+	})
+}
+
+// FuzzRunResponse: whatever bytes a worker answers a run with, the
+// coordinator's reader ends with a result, the worker's error or a
+// lost lease, calls alive once per keepalive before it, and reads no
+// line past maxCompletionBody. Only a result line under the job's
+// fingerprint is a result.
+func FuzzRunResponse(f *testing.F) {
+	job := determinismJobs(f)[0]
+	fp := job.Fingerprint(microScale())
+	m := warmMetrics(0, job)
+	result := mustJSON(f, api.RunResult{Fingerprint: fp, Metrics: &m})
+	for _, seed := range [][]byte{
+		append(append([]byte("\n\n\n"), result...), '\n'),
+		append(result, '\n'),
+		result, // cut short
+		[]byte("\n\n"),
+		[]byte(""),
+		append(mustJSON(f, api.RunResult{Fingerprint: fp, Error: "boom"}), '\n'),
+		append(mustJSON(f, api.RunResult{Fingerprint: "x", Metrics: &m}), '\n'),
+		[]byte("{\"fingerprint\":\"" + fp + "\"}\n"),
+		[]byte("not json\n"),
+		[]byte(" \n"),
+		append(bytes.Repeat([]byte("x"), 5000), '\n'),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &countingReader{r: bytes.NewReader(data)}
+		alive := 0
+		got, end, err := readRun(src, fp, func() { alive++ })
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if alive > len(lines) || !bytes.Equal(bytes.Repeat([]byte("\n"), alive), data[:alive]) {
+			t.Fatalf("%d keepalives counted in %q", alive, data)
+		}
+		rest := data[alive:]
+		line, _, complete := bytes.Cut(rest, []byte("\n"))
+		switch end {
+		case runLost:
+			if complete && len(line) <= maxCompletionBody {
+				t.Fatalf("lost lease although a whole result line arrived: %q (%v)", data, err)
+			}
+		case runResult:
+			if err == nil {
+				var res api.RunResult
+				if json.Unmarshal(line, &res) != nil || res.Error != "" || res.Fingerprint != fp ||
+					res.Metrics == nil || !bytes.Equal(mustJSON(t, *res.Metrics), mustJSON(t, got)) {
+					t.Fatalf("result from a line that is not one: %q", line)
+				}
+			}
+		default:
+			t.Fatalf("readRun ended as %v", end)
+		}
+		if src.n > alive+maxCompletionBody+4096+1 {
+			t.Fatalf("readRun read %d bytes for a line capped at %d", src.n, maxCompletionBody)
 		}
 	})
 }

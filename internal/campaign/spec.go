@@ -18,7 +18,7 @@ import (
 
 // The job-identity vocabulary — Scale, Knobs, Job and the fingerprint
 // derivation, plus the adaptive Precision block — lives in
-// internal/api (it crosses the wire: the lease protocol and the mmmd
+// internal/api (it crosses the wire: the fleet protocol and the mmmd
 // bodies carry it verbatim). The aliases keep campaign the natural
 // import for execution-side callers; api.SpecVersion is the cache
 // generation and bumps under the same discipline as before the move.

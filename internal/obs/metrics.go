@@ -109,7 +109,7 @@ func (h *Histogram) Sum() float64 {
 // Sample is one collector-produced series value: a metric name, its
 // metadata, an alternating key/value label list and the value at
 // scrape time. Collectors let the registry expose state that lives
-// elsewhere (runs by status, per-worker heartbeat ages) without
+// elsewhere (runs by status, per-worker keepalive ages) without
 // churning registered instruments.
 type Sample struct {
 	Name   string
@@ -223,22 +223,16 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return s.counter
 }
 
-// Histogram registers (or finds) a histogram with the given bucket
-// upper bounds (nil uses DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
+// Histogram registers (or finds) a histogram over DefBuckets.
+func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
-	}
-	if len(buckets) == 0 {
-		buckets = DefBuckets
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.lookup(name, help, "histogram", labels)
 	if s.hist == nil {
-		bounds := append([]float64(nil), buckets...)
-		sort.Float64s(bounds)
-		s.hist = &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds))}
+		s.hist = &Histogram{bounds: DefBuckets, counts: make([]atomic.Uint64, len(DefBuckets))}
 	}
 	return s.hist
 }

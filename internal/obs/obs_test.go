@@ -161,10 +161,11 @@ func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_total", "Jobs.", "kind", "mmm-ipc").Add(7)
 	r.Counter("jobs_total", "Jobs.", "kind", "reunion").Inc()
-	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1, 10})
-	h.Observe(0.05)
+	// One observation each in the lowest bucket, a middle one and +Inf.
+	h := r.Histogram("latency_seconds", "Latency.")
+	h.Observe(0.0005)
 	h.Observe(0.5)
-	h.Observe(100)
+	h.Observe(1000)
 	r.RegisterCollector(func(emit func(Sample)) {
 		emit(Sample{Name: "dyn", Help: "Dynamic.", Type: "gauge",
 			Labels: []string{"w", "n1"}, Value: 2})
@@ -200,9 +201,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if f := fams["latency_seconds"]; f == nil || f.Type != "histogram" {
 		t.Fatalf("latency_seconds family wrong: %+v", fams["latency_seconds"])
 	}
-	// 3 finite buckets + +Inf + sum + count fold into one family.
-	if got := len(fams["latency_seconds"].Series); got != 6 {
-		t.Fatalf("latency_seconds series = %d, want 6\n%s", got, text)
+	// The finite buckets + +Inf + sum + count fold into one family.
+	if got, want := len(fams["latency_seconds"].Series), len(DefBuckets)+3; got != want {
+		t.Fatalf("latency_seconds series = %d, want %d\n%s", got, want, text)
 	}
 	if f := fams["dyn"]; f == nil || f.Type != "gauge" || len(f.Series) != 1 {
 		t.Fatalf("collector family wrong: %+v", fams["dyn"])
@@ -210,8 +211,8 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if f := fams["worker_age_seconds"]; f == nil || len(f.Series) != len(workers) {
 		t.Fatalf("worker family wrong: %+v", fams["worker_age_seconds"])
 	}
-	if got := TotalSeries(fams); got != 9+len(workers) {
-		t.Fatalf("TotalSeries = %d, want %d\n%s", got, 9+len(workers), text)
+	if got, want := TotalSeries(fams), 2+len(DefBuckets)+3+1+len(workers); got != want {
+		t.Fatalf("TotalSeries = %d, want %d\n%s", got, want, text)
 	}
 	for _, w := range workers {
 		if want := `worker_age_seconds{worker="` + w.rendered + `"} 1`; !strings.Contains(text, want) {
@@ -267,7 +268,12 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "h").Add(4)
-	r.Histogram("h", "h", []float64{1}).Observe(0.5)
+	// One observation each in the lowest bucket, a middle one and +Inf,
+	// all exact in binary so their sum is too.
+	h := r.Histogram("h", "h")
+	h.Observe(1.0 / 1024)
+	h.Observe(0.5)
+	h.Observe(1024)
 	r.RegisterCollector(func(emit func(Sample)) {
 		emit(Sample{Name: "d", Value: 9})
 	})
@@ -275,7 +281,7 @@ func TestSnapshot(t *testing.T) {
 	if snap["c"] != 4 {
 		t.Errorf("snapshot c = %v, want 4", snap["c"])
 	}
-	if snap["h_count"] != 1 || snap["h_sum"] != 0.5 {
+	if snap["h_count"] != 3 || snap["h_sum"] != 1024.5+1.0/1024 {
 		t.Errorf("snapshot histogram = count %v sum %v", snap["h_count"], snap["h_sum"])
 	}
 	if snap["d"] != 9 {
@@ -400,9 +406,10 @@ func FuzzParseExposition(f *testing.F) {
 	r := NewRegistry()
 	r.Counter("runs_total", "Runs.").Add(3)
 	r.Counter("jobs_total", "Jobs.", "kind", "mmm-ipc").Inc()
-	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1})
+	h := r.Histogram("latency_seconds", "Latency.")
+	h.Observe(0.0005)
 	h.Observe(0.5)
-	h.Observe(100)
+	h.Observe(1000)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		f.Fatal(err)

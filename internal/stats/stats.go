@@ -21,6 +21,10 @@ type Sample struct {
 // Add records one observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
+// Reset empties the sample and keeps its storage for the next
+// observations.
+func (s *Sample) Reset() { s.xs = s.xs[:0] }
+
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
