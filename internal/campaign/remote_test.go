@@ -914,18 +914,19 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func FuzzFleetBodies(f *testing.F) {
 	jobs := determinismJobs(f)[:2]
 	sc := microScale()
-	for _, body := range []any{
+	edited := func(job Job, edit func(*api.RunRequest)) api.RunRequest {
+		r := runRequest(job, sc)
+		edit(&r)
+		return r
+	}
+	for _, body := range []api.RunRequest{
 		runRequest(jobs[0], sc),
 		runRequest(jobs[1], sc),
-		func() api.RunRequest { r := runRequest(jobs[0], sc); r.Check = "p0.s0.dead"; return r }(),
-		func() api.RunRequest { r := runRequest(jobs[0], sc); r.SimSeed++; return r }(),
-		func() api.RunRequest { r := runRequest(jobs[0], sc); r.Fingerprint = "x"; return r }(),
-		func() api.RunRequest { r := runRequest(jobs[1], sc); r.TTLMS = -1; return r }(),
-		func() api.RunRequest {
-			r := runRequest(jobs[0], sc)
-			r.Job.Variant = strings.Repeat("x", maxControlBody)
-			return r
-		}(),
+		edited(jobs[0], func(r *api.RunRequest) { r.Check = "p0.s0.dead" }),
+		edited(jobs[0], func(r *api.RunRequest) { r.SimSeed++ }),
+		edited(jobs[0], func(r *api.RunRequest) { r.Fingerprint = "x" }),
+		edited(jobs[1], func(r *api.RunRequest) { r.TTLMS = -1 }),
+		edited(jobs[0], func(r *api.RunRequest) { r.Job.Variant = strings.Repeat("x", maxControlBody) }),
 	} {
 		f.Add(mustJSON(f, body))
 	}
